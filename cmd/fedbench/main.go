@@ -65,20 +65,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	benchJSON := flag.String("bench-json", "", "time each figure serially and in parallel and write a JSON benchmark summary to this file")
 	traceBench := flag.Bool("trace", false, "measure tracing overhead on the report hot path (recorder off vs on) and exit")
-	ingest := flag.Bool("ingest", false, "run the ingestion load generator (JSON vs binary batch) and exit")
-	ingestURL := flag.String("ingest-url", "", "target a running fednumd at this base URL (empty = in-process server)")
-	ingestJSON := flag.String("ingest-json", "", "write the ingestion benchmark summary JSON to this file")
-	ingestDur := flag.Duration("ingest-duration", 2*time.Second, "measurement window per ingestion grid cell")
-	ingestShort := flag.Bool("ingest-short", false, "calibration grid for -ingest: one small cell per codec")
 	flag.Parse()
-
-	if *ingest {
-		opts := ingestOptions{TargetURL: *ingestURL, Duration: *ingestDur, Short: *ingestShort, Seed: *seed}
-		if err := runIngest(opts, os.Stdout, *ingestJSON); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
 
 	if *traceBench {
 		if err := runTraceBench(os.Stdout); err != nil {

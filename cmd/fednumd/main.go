@@ -97,7 +97,6 @@ func main() {
 	retryAfterBase := flag.Duration("retry-after-base", 0, "initial Retry-After advice on shed responses; doubles under sustained overload (0 = 1s default)")
 	retryAfterMax := flag.Duration("retry-after-max", 0, "Retry-After advice cap (0 = 30s default)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request read/write deadline cutting off slow-loris bodies on gated routes (0 = listener timeouts only)")
-	sessionStripes := flag.Int("session-stripes", 0, "lock stripes of the session table, rounded up to a power of two; raise on machines with very wide report fan-in (0 = default 32)")
 	traceBuf := flag.Int("trace-buf", 0, "spans kept in the in-memory trace ring served at /debug/trace on the admin listener; also records per-session round timelines at /debug/rounds (0 = tracing disabled)")
 	replicaOf := flag.String("replica-of", "", "run as a standby replicating from this primary base URL (comma-separated list tries each); requires -wal-dir")
 	epoch := flag.Uint64("epoch", 1, "initial fencing epoch; a promoted node serves epoch+1, and replication frames from a lower epoch are rejected")
@@ -141,14 +140,6 @@ func main() {
 	agg := transport.NewServer(*seed)
 	agg.Logger = logger
 	agg.Retention = *retention
-	if *sessionStripes > 0 {
-		// Before any snapshot restore or WAL replay: the table must be
-		// empty to resize.
-		if err := agg.SetSessionStripes(*sessionStripes); err != nil {
-			logger.Error("applying -session-stripes failed", "error", err)
-			os.Exit(1)
-		}
-	}
 	if *traceBuf > 0 {
 		agg.SetTracer(trace.NewRecorder(*traceBuf))
 	}

@@ -72,22 +72,20 @@ var Blocking = map[string]string{
 //   - WAL appends under the transport locks are the durability design
 //     itself (log-before-mutate): Append only buffers the record — the
 //     fsync (Commit) happens after the lock is released, so the append
-//     under the lock costs an in-memory copy, not a disk wait. With the
-//     striped session table the record-ordering lock is the owning
-//     stripe's mutex for create/delete and the session's own mutex for
-//     assignment/report/finalize/expire; Server.mu stays listed for the
-//     replay and replication apply paths that still run under it.
+//     under the lock costs an in-memory copy, not a disk wait. The
+//     record-ordering lock is the session table's for create/delete and
+//     the session's own mutex for assignment/report/finalize/expire;
+//     Server.mu stays listed for the replay and replication apply paths
+//     that run under it.
 //   - WAL appends under the WAL's own mu are how the WAL is implemented.
 var HeldExceptions = map[string]map[string]bool{
 	"(*repro/internal/wal.WAL).Append": {
-		"repro/internal/transport.Server.mu":      true,
-		"repro/internal/transport.tableStripe.mu": true,
-		"repro/internal/transport.session.mu":     true,
+		"repro/internal/transport.Server.mu":       true,
+		"repro/internal/transport.sessionTable.mu": true,
+		"repro/internal/transport.session.mu":      true,
 	},
 	"(*repro/internal/wal.WAL).AppendAt": {
-		"repro/internal/transport.Server.mu":      true,
-		"repro/internal/transport.tableStripe.mu": true,
-		"repro/internal/transport.session.mu":     true,
+		"repro/internal/transport.Server.mu": true,
 	},
 	// Cond.Wait must be called with the condition's own lock held — and
 	// atomically releases it while parked, so it never stalls the other

@@ -9,25 +9,17 @@ import (
 	"sync"
 	"time"
 
+	machine "repro/internal/session"
 	"repro/internal/trace"
 	"repro/internal/transport/wire"
 )
 
-// Batched report ingestion: the binary codec's server side. A batch
-// frame carries up to wire.MaxBatchReports one-bit reports for one
-// session in a single POST body; every record runs the same acceptance
-// machine as a JSON report (ingestReport), the whole batch is charged
-// to the session's rate bucket once, and a single WAL commit covers
-// every accepted record before any ack leaves the server — hundreds of
-// fsync-bound round trips collapse into one.
-//
-// Failure semantics: per-record outcomes (duplicate, conflict, no
-// task, wrong bit, bad value) are ack statuses, not errors. A failure
-// of the whole request — unknown session, expired, finalized, rate
-// limit, durability — is the ordinary JSON error envelope; records
-// appended to the WAL before such a failure were never acked, and a
-// client retry re-acks them as duplicates, so retrying the whole batch
-// is always safe.
+// Report ingestion: the one path (ingest) every report takes, and the
+// binary codec's server side. A batch frame carries up to
+// wire.MaxBatchReports one-bit reports for one session in a single POST
+// body. Per-record outcomes (duplicate, conflict, no task, wrong bit,
+// bad value) are ack statuses, not errors; a failure of the whole
+// request is the ordinary JSON error envelope.
 
 // batchBuffers is the per-request scratch of the binary path — body,
 // ack statuses, response frame — pooled so a warm server ingests
@@ -61,132 +53,161 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// batchSession runs the batch-level admission checks shared by both
-// batch entry points: resolve the session, verify it is open, and
-// charge the whole batch to the rate bucket in one transaction.
-func (s *Server) batchSession(sessionID string, n int) (*session, error) {
+// tally counts one request's per-record outcomes by ack status.
+type tally [wire.AckConflict + 1]int
+
+// ingest is the one report path behind both codecs and all three entry
+// points (SubmitReport, SubmitReportBatch, the binary frame): it takes
+// the session's mutex once for the whole request, checks the session is
+// open, charges the n reports to its rate bucket in one transaction, and
+// for each record next yields runs decide → log → Apply, appending one
+// status to acks. After the lock is released it commits the WAL — one
+// commit covering every record this request accepted — and only then
+// returns, so no ack can precede durability. K is the client id's
+// spelling (string from JSON, a borrowed []byte view of a binary frame),
+// as for session.Decide.
+//
+// A retransmission is acked as a duplicate because its original is in
+// the client map, but the original becomes durable only when *its*
+// request commits, after releasing the lock. A request that produced any
+// duplicate therefore commits the log's high-water mark: by the time it
+// saw the entry the original's append had been counted into walSeq. In
+// steady state the mark is already durable and the commit is one
+// uncontended lock and no I/O.
+//
+// err is non-nil only for failures of the whole request (unknown or
+// closed session, rate limit, durability, a source error); records
+// applied before such a failure were never acked, and a retry re-acks
+// them as duplicates, so retrying the whole request is always safe.
+func ingest[K ~string | ~[]byte](s *Server, sp *trace.Span, sessionID string, n int,
+	next func() (K, int, uint64, bool, error), acks []wire.AckStatus) ([]wire.AckStatus, tally, error) {
+	var t tally
 	s.maybeSweep()
+	var t0 time.Time
+	if sp != nil {
+		t0 = time.Now()
+	}
 	sess := s.table.get(sessionID)
 	if sess == nil {
-		return nil, errNotFound
+		return acks, t, errNotFound
 	}
-	if err := sess.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := s.reportRate(sess, s.now(), float64(n)); err != nil {
-		return nil, err
-	}
-	return sess, nil
-}
-
-// batchRecord ingests one record of a batch, folding its outcome into
-// the metrics and the running max sequence. Generic over the client-id
-// spelling so the binary path feeds frame-borrowed []byte without
-// materializing strings for the non-accept outcomes.
-func batchRecord[K clientKey](s *Server, sess *session, client K, bit int, value uint64, maxSeq *uint64) (wire.AckStatus, error) {
-	st, seq, err := ingestReport(s, sess, client, bit, value)
-	if err != nil {
-		return 0, err
-	}
-	if seq > *maxSeq {
-		*maxSeq = seq
-	}
-	label, _ := reportOutcome(st)
-	s.metrics.reports.With(label).Inc()
-	return st, nil
-}
-
-// batchCounts tallies a batch's outcomes for the round timeline and
-// trace attrs.
-type batchCounts struct {
-	accepted, duplicate, rejected int
-}
-
-func (c *batchCounts) add(st wire.AckStatus) {
-	switch st {
-	case wire.AckAccepted:
-		c.accepted++
-	case wire.AckDuplicate:
-		c.duplicate++
-	case wire.AckInvalidValue, wire.AckNoTask, wire.AckWrongBit, wire.AckConflict:
-		c.rejected++
-	}
-}
-
-// finishBatch commits the batch's WAL high-water mark — the one fsync
-// covering every accepted record — and stamps the aggregate outcome
-// onto the span and round timeline. Must run before any ack is written.
-func (s *Server) finishBatch(sp *trace.Span, sessionID string, maxSeq uint64, c batchCounts) error {
-	if err := s.walCommitTraced(sp, sessionID, "", maxSeq); err != nil {
-		return err
-	}
+	sess.mu.Lock()
+	var tLock time.Time
 	if sp != nil {
-		sp.AttrInt("accepted", int64(c.accepted))
-		sp.AttrInt("duplicate", int64(c.duplicate))
-		sp.AttrInt("rejected", int64(c.rejected))
+		tLock = time.Now()
+		sp.AttrDuration("lock_wait", tLock.Sub(t0))
 	}
-	if s.tracing() && c.accepted+c.duplicate+c.rejected > 0 {
-		// One timeline event summarizes the batch; per-record events at
-		// batch scale would flood the round ring buffer.
-		detail := "accepted=" + strconv.Itoa(c.accepted) +
-			" duplicate=" + strconv.Itoa(c.duplicate) +
-			" rejected=" + strconv.Itoa(c.rejected)
-		kind := RoundReportAccept
-		if c.accepted == 0 && c.rejected > 0 {
-			kind = RoundReportReject
-		}
-		s.roundEvent(sessionID, kind, "", "", 0, detail)
-	}
-	return nil
-}
-
-// SubmitReportBatch ingests a batch of reports in one transaction: one
-// rate-bucket charge, one WAL commit, one ack status per report in
-// order. It is the programmatic face of the binary batch route and runs
-// the identical per-record acceptance machine as SubmitReport, so a
-// session may freely interleave JSON and batched submissions.
-func (s *Server) SubmitReportBatch(ctx context.Context, sessionID string, reports []wire.Report) ([]wire.AckStatus, error) {
-	_, sp := trace.Start(ctx, "server.submit_batch")
-	defer sp.End()
-	sp.Attr("session", sessionID)
-	sp.AttrInt("count", int64(len(reports)))
-	if len(reports) > wire.MaxBatchReports {
-		return nil, errBatchTooLarge
-	}
-	sess, err := s.batchSession(sessionID, len(reports))
-	if err != nil {
-		return nil, s.noteBatchRejected(sp, sessionID, err)
-	}
-	acks := make([]wire.AckStatus, 0, len(reports))
 	var maxSeq uint64
-	var counts batchCounts
-	for _, rep := range reports {
-		st, err := batchRecord(s, sess, rep.ClientID, rep.Bit, rep.Value, &maxSeq)
-		if err != nil {
-			return nil, err
+	err := sess.Open()
+	if err == nil {
+		err = s.reportRateLocked(sess, s.now(), float64(n))
+	}
+	for err == nil {
+		client, bit, value, ok, nerr := next()
+		if err = nerr; err != nil || !ok {
+			break
 		}
-		counts.add(st)
+		st := machine.Decide(sess.Session, client, bit, value)
+		if st == wire.AckAccepted {
+			rec := machine.Record{Op: machine.OpReport, Session: sessionID, Client: string(client), Bit: bit, Value: value}
+			if maxSeq, err = s.logApplyLocked(sess, &rec); err != nil {
+				break
+			}
+		}
+		t[st]++
 		acks = append(acks, st)
 	}
-	if err := s.finishBatch(sp, sessionID, maxSeq, counts); err != nil {
-		return nil, err
+	sess.mu.Unlock()
+	if sp != nil {
+		sp.AttrDuration("table_hold", time.Since(tLock))
 	}
-	return acks, nil
+	for st, c := range t {
+		if c > 0 {
+			label, _ := reportOutcome(wire.AckStatus(st))
+			s.metrics.reports.With(label).Add(uint64(c))
+		}
+	}
+	if err != nil {
+		return acks, t, err
+	}
+	if t[wire.AckDuplicate] > 0 {
+		maxSeq = s.walSeq.Load()
+	}
+	return acks, t, s.walCommitTraced(sp, sessionID, "", maxSeq)
 }
 
 // errBatchTooLarge rejects a programmatic batch over the frame cap; the
 // HTTP path never sees it (the decoder enforces the cap first).
 var errBatchTooLarge = errors.New("transport: batch exceeds the report cap")
 
-// noteBatchRejected stamps a batch-level rejection onto the span and,
-// for rate limits, the round timeline — mirroring the JSON path.
-func (s *Server) noteBatchRejected(sp *trace.Span, sessionID string, err error) error {
+// submitBatch wraps ingest with what is particular to a batch: the
+// server.submit_batch span, and one timeline event summarizing the
+// outcome (per-record events at batch scale would flood the round ring
+// buffer).
+func submitBatch[K ~string | ~[]byte](s *Server, ctx context.Context, sessionID string, n int,
+	next func() (K, int, uint64, bool, error), acks []wire.AckStatus) ([]wire.AckStatus, error) {
+	_, sp := trace.Start(ctx, "server.submit_batch")
+	defer sp.End()
+	sp.Attr("session", sessionID)
+	sp.AttrInt("count", int64(n))
+	acks, t, err := ingest(s, sp, sessionID, n, next, acks)
+	if err != nil {
+		return acks, s.noteRejected(sp, sessionID, "", err)
+	}
+	accepted, duplicate := t[wire.AckAccepted], t[wire.AckDuplicate]
+	rejected := n - accepted - duplicate
+	if sp != nil {
+		sp.AttrInt("accepted", int64(accepted))
+		sp.AttrInt("duplicate", int64(duplicate))
+		sp.AttrInt("rejected", int64(rejected))
+	}
+	if s.tracing() && n > 0 {
+		detail := "accepted=" + strconv.Itoa(accepted) +
+			" duplicate=" + strconv.Itoa(duplicate) +
+			" rejected=" + strconv.Itoa(rejected)
+		kind := RoundReportAccept
+		if accepted == 0 && rejected > 0 {
+			kind = RoundReportReject
+		}
+		s.roundEvent(sessionID, kind, "", "", 0, detail)
+	}
+	return acks, nil
+}
+
+// noteRejected stamps a whole-request rate limit onto the span and the
+// round timeline, passing err through.
+func (s *Server) noteRejected(sp *trace.Span, sessionID, client string, err error) error {
 	var rl *rateLimitedError
 	if errors.As(err, &rl) {
 		sp.Attr("result", "ratelimited")
-		s.roundEvent(sessionID, RoundReportRatelimit, "", "", rl.wait, "")
+		s.roundEvent(sessionID, RoundReportRatelimit, client, "", rl.wait, "")
 	}
 	return err
+}
+
+// SubmitReportBatch ingests a batch of reports in one transaction: one
+// lock acquisition, one rate-bucket charge, one WAL commit, one ack
+// status per report in order. It is the programmatic face of the binary
+// batch route and runs the identical per-record acceptance machine as
+// SubmitReport, so a session may freely interleave JSON and batched
+// submissions.
+func (s *Server) SubmitReportBatch(ctx context.Context, sessionID string, reports []wire.Report) ([]wire.AckStatus, error) {
+	if len(reports) > wire.MaxBatchReports {
+		return nil, errBatchTooLarge
+	}
+	i := 0
+	acks, err := submitBatch(s, ctx, sessionID, len(reports), func() (string, int, uint64, bool, error) {
+		if i == len(reports) {
+			return "", 0, 0, false, nil
+		}
+		r := &reports[i]
+		i++
+		return r.ClientID, r.Bit, r.Value, true, nil
+	}, make([]wire.AckStatus, 0, len(reports)))
+	if err != nil {
+		return nil, err
+	}
+	return acks, nil
 }
 
 // ingestBatchFrame decodes and ingests one binary batch frame,
@@ -194,54 +215,15 @@ func (s *Server) noteBatchRejected(sp *trace.Span, sessionID string, err error) 
 // alloc guard can drive the full server-side frame path without a
 // network stack in the way.
 func (s *Server) ingestBatchFrame(ctx context.Context, sessionID string, frame []byte, acks []wire.AckStatus) ([]wire.AckStatus, error) {
-	_, sp := trace.Start(ctx, "server.submit_batch")
-	defer sp.End()
-	sp.Attr("session", sessionID)
 	var br wire.BatchReader
 	if err := br.Reset(frame); err != nil {
 		return acks, err
 	}
-	sp.AttrInt("count", int64(br.Count()))
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
-	sess, err := s.batchSession(sessionID, br.Count())
-	if err != nil {
-		return acks, s.noteBatchRejected(sp, sessionID, err)
-	}
-	if sp != nil {
-		sp.AttrDuration("lock_wait", time.Since(t0))
-	}
-	var tIngest time.Time
-	if sp != nil {
-		tIngest = time.Now()
-	}
-	var maxSeq uint64
-	var counts batchCounts
 	var v wire.ReportView
-	for {
+	return submitBatch(s, ctx, sessionID, br.Count(), func() ([]byte, int, uint64, bool, error) {
 		ok, err := br.Next(&v)
-		if err != nil {
-			return acks, err
-		}
-		if !ok {
-			break
-		}
-		st, err := batchRecord(s, sess, v.Client, v.Bit, v.Value, &maxSeq)
-		if err != nil {
-			return acks, err
-		}
-		counts.add(st)
-		acks = append(acks, st)
-	}
-	if sp != nil {
-		sp.AttrDuration("table_hold", time.Since(tIngest))
-	}
-	if err := s.finishBatch(sp, sessionID, maxSeq, counts); err != nil {
-		return acks, err
-	}
-	return acks, nil
+		return v.Client, v.Bit, v.Value, ok, err
+	}, acks)
 }
 
 // handleReportBatch is the Content-Type-negotiated binary leg of

@@ -160,20 +160,22 @@ func (p *Participant) SubmitReport(ctx context.Context, sessionID string, rep wi
 	return ack, nil
 }
 
-// doJSON executes one JSON exchange under the retry policy against the
+// exchange is the one client request path, shared by the JSON and binary
+// codecs: it runs one HTTP exchange under the retry policy against the
 // endpoint list. Each attempt builds a fresh request (bodies cannot be
-// replayed) against the list's current endpoint and decodes either the
-// expected payload or the server's error envelope into a *StatusError
-// carrying the machine-readable code.
+// replayed) against the list's current endpoint and hands a wantStatus
+// answer's body to decode, or turns the server's error envelope into a
+// *StatusError carrying the machine-readable code and Retry-After advice.
 //
 // Failover lives here: a transport-level failure (dial refused, reset)
 // advances the list past the dead node before the error is returned,
 // and a not_primary answer repoints the list — at the leader the
 // replica named when it knew one, at the next endpoint otherwise — and
 // marks the error retryable (Failover) when the retry will actually
-// reach somewhere new. The retry loop above needs no endpoint
-// awareness; it just tries again and lands on the repointed target.
-func doJSON(ctx context.Context, hc *http.Client, rp *RetryPolicy, eps *EndpointList, method, path string, body []byte, wantStatus int, out any) error {
+// reach somewhere new. The retry loop needs no endpoint awareness; it
+// just tries again and lands on the repointed target.
+func exchange(ctx context.Context, hc *http.Client, rp *RetryPolicy, eps *EndpointList,
+	method, path, contentType string, body []byte, wantStatus int, decode func(io.Reader) error) error {
 	// Validate the request shape once; per-attempt rebuilds cannot fail
 	// differently with identical inputs.
 	if _, err := http.NewRequest(method, eps.Current()+path, nil); err != nil {
@@ -190,7 +192,7 @@ func doJSON(ctx context.Context, hc *http.Client, rp *RetryPolicy, eps *Endpoint
 			return err
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", contentType)
 		}
 		// Propagate the active span (the per-attempt span RetryPolicy.Do
 		// opens) so the server's span parents to exactly this attempt —
@@ -204,33 +206,39 @@ func doJSON(ctx context.Context, hc *http.Client, rp *RetryPolicy, eps *Endpoint
 			return err
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			se := &StatusError{Status: resp.StatusCode}
-			data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			var e wire.Error
-			if json.Unmarshal(data, &e) == nil {
-				se.Code, se.Msg, se.Leader = e.Code, e.Error, e.Leader
-				if e.RetryAfter > 0 {
-					// The envelope's float seconds beat the header's
-					// whole-second granularity when both are present.
-					se.RetryAfter = time.Duration(e.RetryAfter * float64(time.Second))
-				}
-			}
-			if se.RetryAfter == 0 {
-				se.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-			}
-			if se.Code == wire.CodeNotPrimary {
-				if se.Leader != "" {
-					eps.SetLeader(se.Leader)
-				} else {
-					eps.Advance(base)
-				}
-				se.Failover = eps.Current() != base
-			}
-			return se
+		if resp.StatusCode == wantStatus {
+			return decode(resp.Body)
 		}
-		return json.NewDecoder(resp.Body).Decode(out)
+		se := &StatusError{Status: resp.StatusCode}
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		var e wire.Error
+		if json.Unmarshal(data, &e) == nil {
+			se.Code, se.Msg, se.Leader = e.Code, e.Error, e.Leader
+			if e.RetryAfter > 0 {
+				// The envelope's float seconds beat the header's
+				// whole-second granularity when both are present.
+				se.RetryAfter = time.Duration(e.RetryAfter * float64(time.Second))
+			}
+		}
+		if se.RetryAfter == 0 {
+			se.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
+		}
+		if se.Code == wire.CodeNotPrimary {
+			if se.Leader != "" {
+				eps.SetLeader(se.Leader)
+			} else {
+				eps.Advance(base)
+			}
+			se.Failover = eps.Current() != base
+		}
+		return se
 	})
+}
+
+// doJSON is exchange for a JSON body in and a JSON payload out.
+func doJSON(ctx context.Context, hc *http.Client, rp *RetryPolicy, eps *EndpointList, method, path string, body []byte, wantStatus int, out any) error {
+	return exchange(ctx, hc, rp, eps, method, path, "application/json", body, wantStatus,
+		func(r io.Reader) error { return json.NewDecoder(r).Decode(out) })
 }
 
 // BinaryReporter submits batches of reports over the compact binary
@@ -302,55 +310,18 @@ func (b *BinaryReporter) Flush(ctx context.Context, sessionID string) ([]wire.Ac
 	sp.AttrInt("count", int64(b.w.Count()))
 	frame := b.w.Bytes()
 	path := fmt.Sprintf("/v1/sessions/%s/reports", url.PathEscape(sessionID))
-	eps := b.endpoints()
-	hc := b.client()
 	var acks []wire.AckStatus
-	err := b.Retry.Do(ctx, func(ctx context.Context) error {
-		base := eps.Current()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(frame))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", wire.ReportBatchContentType)
-		trace.Inject(ctx, req.Header)
-		resp, err := hc.Do(req)
-		if err != nil {
-			eps.Advance(base)
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			se := &StatusError{Status: resp.StatusCode}
-			data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			var e wire.Error
-			if json.Unmarshal(data, &e) == nil {
-				se.Code, se.Msg, se.Leader = e.Code, e.Error, e.Leader
-				if e.RetryAfter > 0 {
-					se.RetryAfter = time.Duration(e.RetryAfter * float64(time.Second))
-				}
+	err := exchange(ctx, b.client(), b.Retry, b.endpoints(), http.MethodPost, path,
+		wire.ReportBatchContentType, frame, http.StatusOK, func(r io.Reader) error {
+			body, err := readAllInto(b.resp[:0], r)
+			b.resp = body
+			if err != nil {
+				return err
 			}
-			if se.RetryAfter == 0 {
-				se.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-			}
-			if se.Code == wire.CodeNotPrimary {
-				if se.Leader != "" {
-					eps.SetLeader(se.Leader)
-				} else {
-					eps.Advance(base)
-				}
-				se.Failover = eps.Current() != base
-			}
-			return se
-		}
-		body, err := readAllInto(b.resp[:0], resp.Body)
-		b.resp = body
-		if err != nil {
+			acks, err = wire.DecodeAckFrame(body, b.acks[:0])
+			b.acks = acks
 			return err
-		}
-		acks, err = wire.DecodeAckFrame(body, b.acks[:0])
-		b.acks = acks
-		return err
-	})
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -4,47 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/transport/wire"
+	machine "repro/internal/session"
 	"repro/internal/wal"
 )
 
 // errDurability marks an ack path that could not make its state
 // transition durable; surfaced as 503/unavailable so clients retry.
 var errDurability = errors.New("transport: write-ahead log unavailable")
-
-// WAL record operations. One record is appended — and committed to
-// stable storage — before the server acks the corresponding state
-// transition, so a recovered server is always a superset of what any
-// client was told.
-const (
-	walOpCreate   = "create"
-	walOpAssign   = "assign"
-	walOpReport   = "report"
-	walOpFinalize = "finalize"
-	walOpExpire   = "expire"
-	walOpDelete   = "delete"
-)
-
-// walRecord is the JSON payload of one WAL entry. Only the fields the
-// operation needs are set; everything derivable (probabilities,
-// randomized-response parameters, aggregates) is recomputed on replay
-// from the same deterministic code paths that produced it live.
-type walRecord struct {
-	Op      string `json:"op"`
-	Session string `json:"session"`
-	// Create fields.
-	NextID int                 `json:"next_id,omitempty"`
-	Config *wire.SessionConfig `json:"config,omitempty"`
-	// Assign and report fields.
-	Client string `json:"client,omitempty"`
-	Bit    int    `json:"bit,omitempty"`
-	Value  uint64 `json:"value,omitempty"`
-	// At anchors time-derived state: the create time (TTL deadlines are
-	// At+TTL) and the finalize/expire transition time (retention GC).
-	At time.Time `json:"at,omitempty"`
-}
 
 // AttachWAL makes every acked state transition durable through w: the
 // server appends a record before replying and blocks the ack on the
@@ -59,9 +26,9 @@ func (s *Server) AttachWAL(w *wal.WAL) {
 func (s *Server) walRef() *wal.WAL { return s.wal.Load() }
 
 // noteWALSeq advances the applied high-water sequence to seq with a
-// CAS-max loop: appends run under different stripe and session locks,
-// so two appenders can race to record their sequences and the larger
-// one must win regardless of arrival order.
+// CAS-max loop: appends run under the table lock and under different
+// session locks, so two appenders can race to record their sequences and
+// the larger one must win regardless of arrival order.
 func (s *Server) noteWALSeq(seq uint64) {
 	for {
 		cur := s.walSeq.Load()
@@ -71,16 +38,16 @@ func (s *Server) noteWALSeq(seq uint64) {
 	}
 }
 
-// walAppendLocked appends one record, advancing the applied sequence.
-// The caller holds the lock that orders the record against the state it
-// describes — the owning stripe's mutex for create/delete (so WAL order
-// and table-visible order agree), the session's exclusive mutex for
-// everything else. With no WAL attached it is a no-op returning
-// sequence 0. The record is not yet durable — the caller must
-// walCommit the sequence (outside its locks) before acking. Holding a
-// lock across Append is deliberate and cheap: Append only buffers; the
-// fsync happens in walCommit after the lock is released.
-func (s *Server) walAppendLocked(rec walRecord) (uint64, error) {
+// walAppend appends one record, advancing the applied sequence. The
+// caller holds the lock that orders the record against the state it
+// describes — the table's write lock for create/delete (so WAL order and
+// table-visible order agree), the session's mutex for everything else.
+// With no WAL attached it is a no-op returning sequence 0. The record is
+// not yet durable — the caller must walCommit the sequence (outside its
+// locks) before acking. Holding a lock across Append is deliberate and
+// cheap: Append only buffers; the fsync happens in walCommit after the
+// lock is released.
+func (s *Server) walAppend(rec *machine.Record) (uint64, error) {
 	w := s.walRef()
 	if w == nil {
 		return 0, nil
@@ -97,8 +64,101 @@ func (s *Server) walAppendLocked(rec walRecord) (uint64, error) {
 	return seq, nil
 }
 
+// logApplyLocked is the live half of every session transition once it is
+// decided: append the record, then Apply it — log before mutate, so a
+// failed append leaves the state untouched. The caller holds sess.mu and
+// commits the returned sequence, outside the lock, before acking.
+func (s *Server) logApplyLocked(sess *session, rec *machine.Record) (uint64, error) {
+	seq, err := s.walAppend(rec)
+	if err != nil {
+		return 0, err
+	}
+	if err := sess.Apply(rec); err != nil {
+		return 0, fmt.Errorf("transport: applying %s to session %s: %w", rec.Op, rec.Session, err)
+	}
+	return seq, nil
+}
+
+// apply performs one logged transition against the table. Create and
+// delete change the table itself, inside its write section; with live
+// set the record is appended there too, so WAL order and table-visible
+// order agree (the invariant Snapshot's frontier-first read relies on).
+// Every other op is the named session's Apply under its mutex — the
+// replay and replication route; live handlers decide under that mutex
+// first and go through logApplyLocked. A record naming a session the
+// table does not hold returns errNotFound.
+func (s *Server) apply(rec *machine.Record, live bool) (seq uint64, err error) {
+	switch rec.Op {
+	case machine.OpCreate:
+		if rec.Config == nil {
+			return 0, errors.New("create record without a config")
+		}
+		m, err := machine.New(rec.Session, *rec.Config, rec.At)
+		if err != nil {
+			return 0, err
+		}
+		s.table.mu.Lock()
+		defer s.table.mu.Unlock()
+		if live {
+			if seq, err = s.walAppend(rec); err != nil {
+				return 0, err
+			}
+		}
+		s.table.sessions[rec.Session] = &session{Session: m}
+		return seq, nil
+	case machine.OpDelete:
+		s.table.mu.Lock()
+		defer s.table.mu.Unlock()
+		if _, ok := s.table.sessions[rec.Session]; !ok {
+			return 0, errNotFound
+		}
+		if live {
+			if seq, err = s.walAppend(rec); err != nil {
+				return 0, err
+			}
+		}
+		delete(s.table.sessions, rec.Session)
+		return seq, nil
+	}
+	sess := s.table.get(rec.Session)
+	if sess == nil {
+		return 0, errNotFound
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return 0, sess.Apply(rec)
+}
+
+// decodeRecord parses the payload of WAL record seq.
+func decodeRecord(seq uint64, payload []byte) (*machine.Record, error) {
+	rec := new(machine.Record)
+	if err := json.Unmarshal(payload, rec); err != nil {
+		return nil, fmt.Errorf("transport: decoding wal record %d: %w", seq, err)
+	}
+	return rec, nil
+}
+
+// replayLocked re-applies one record read back from a log (ReplayWAL) or
+// shipped by the primary (ApplyReplicated); the caller holds s.mu.
+func (s *Server) replayLocked(seq uint64, rec *machine.Record) error {
+	_, err := s.apply(rec, false)
+	if rec.Op == machine.OpDelete && errors.Is(err, errNotFound) {
+		// The one legal reference to an absent session: the restored
+		// snapshot was cut after this delete took effect.
+		err = nil
+	}
+	if err != nil {
+		return fmt.Errorf("transport: applying wal record %d (%s %s): %w", seq, rec.Op, rec.Session, err)
+	}
+	if rec.NextID > s.nextID {
+		s.nextID = rec.NextID
+	}
+	s.noteWALSeq(seq)
+	return nil
+}
+
 // walCommit blocks until seq is durable under the WAL's fsync policy;
-// called outside the stripe and session locks so fsync latency never
+// called outside the table and session locks so fsync latency never
 // serializes the session table. A failed commit means the ack must not
 // be sent.
 func (s *Server) walCommit(seq uint64) error {
@@ -132,8 +192,8 @@ func (s *Server) WALSeq() uint64 {
 //
 // Replay holds s.mu for its whole run — recovery happens before the
 // server takes traffic, and the big lock keeps the nextID bookkeeping
-// and gauge recompute simple. applyWAL takes the stripe and session
-// locks itself.
+// and gauge recompute simple. apply takes the table and session locks
+// itself.
 func (s *Server) ReplayWAL() (int, error) {
 	w := s.walRef()
 	if w == nil {
@@ -163,14 +223,13 @@ func (s *Server) ReplayWAL() (int, error) {
 		if seq <= base {
 			return nil
 		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("transport: decoding wal record %d: %w", seq, err)
+		rec, err := decodeRecord(seq, payload)
+		if err != nil {
+			return err
 		}
-		if err := s.applyWALLocked(rec); err != nil {
-			return fmt.Errorf("transport: applying wal record %d (%s %s): %w", seq, rec.Op, rec.Session, err)
+		if err := s.replayLocked(seq, rec); err != nil {
+			return err
 		}
-		s.noteWALSeq(seq)
 		applied++
 		return nil
 	})
@@ -181,98 +240,17 @@ func (s *Server) ReplayWAL() (int, error) {
 	return applied, nil
 }
 
-// applyWALLocked re-applies one logged transition; the caller holds
-// s.mu (replay and the replication apply path both run under it) and
-// this function takes the stripe and session locks it needs. Every case
-// tolerates re-application (idempotence) but treats a reference to
-// state that should exist and does not as a hard error — that is
-// corruption, not something to skip.
-func (s *Server) applyWALLocked(rec walRecord) error {
-	if rec.Op == walOpCreate {
-		if rec.Config == nil {
-			return errors.New("create record without a config")
-		}
-		sess, err := buildSession(*rec.Config)
-		if err != nil {
-			return err
-		}
-		sess.id = rec.Session
-		if rec.Config.TTLSeconds > 0 {
-			sess.deadline = rec.At.Add(time.Duration(rec.Config.TTLSeconds * float64(time.Second)))
-		}
-		st := s.table.stripe(rec.Session)
-		st.mu.Lock()
-		st.sessions[rec.Session] = sess
-		st.mu.Unlock()
-		if rec.NextID > s.nextID {
-			s.nextID = rec.NextID
-		}
-		return nil
-	}
-	if rec.Op == walOpDelete {
-		st := s.table.stripe(rec.Session)
-		st.mu.Lock()
-		delete(st.sessions, rec.Session)
-		st.mu.Unlock()
-		return nil
-	}
-	sess := s.table.get(rec.Session)
-	if sess == nil {
-		return errors.New("session not in replayed state")
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	switch rec.Op {
-	case walOpAssign:
-		if _, ok := sess.assigned[rec.Client]; ok {
-			return nil
-		}
-		if rec.Bit < 0 || rec.Bit >= len(sess.issued) {
-			return fmt.Errorf("assigned bit %d out of range", rec.Bit)
-		}
-		sess.assigned[rec.Client] = rec.Bit
-		sess.issued[rec.Bit]++
-	case walOpReport:
-		if _, ok := sess.reported[rec.Client]; ok {
-			return nil
-		}
-		if rec.Bit < 0 || rec.Bit >= len(sess.bitCount) {
-			return fmt.Errorf("reported bit %d out of range", rec.Bit)
-		}
-		sess.reported[rec.Client] = rec.Value
-		sess.foldReport(rec.Bit, rec.Value)
-	case walOpFinalize:
-		if sess.done {
-			return nil
-		}
-		if err := sess.computeLocked(); err != nil {
-			return err
-		}
-		sess.done = true
-		sess.endedAt = rec.At
-	case walOpExpire:
-		if sess.expired {
-			return nil
-		}
-		sess.expired = true
-		sess.endedAt = rec.At
-	default:
-		return fmt.Errorf("unknown wal op %q", rec.Op)
-	}
-	return nil
-}
-
 // recomputeActiveLocked resets the active-sessions gauge from the table;
 // the caller holds s.mu. Used after wholesale state changes (restore,
 // replay) instead of tracking per-transition deltas.
 func (s *Server) recomputeActiveLocked() {
 	active := 0
 	for _, sess := range s.table.all() {
-		sess.mu.RLock()
-		if !sess.done && !sess.expired {
+		sess.mu.Lock()
+		if sess.Open() == nil {
 			active++
 		}
-		sess.mu.RUnlock()
+		sess.mu.Unlock()
 	}
 	s.metrics.active.Set(float64(active))
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/transport/wire"
 	"repro/internal/wal"
 )
@@ -340,5 +341,61 @@ func TestExpiryAndDeleteAreLogged(t *testing.T) {
 	}
 	if _, err := s2.AssignTask(context.Background(), expireID, "late"); err == nil {
 		t.Fatal("deleted session resurrected after replay")
+	}
+}
+
+// TestDuplicateAckWaitsForOriginalCommit closes the window between an
+// accept entering the client map (under the session lock) and becoming
+// durable (in its own request's commit, after the lock): a
+// retransmission landing in that gap sees the entry, and must not be
+// acked "duplicate" — which promises the report is safe — before the
+// flush that makes it so. The WAL's group-commit interval is long enough
+// that the test body up to the retransmission runs inside one gap.
+func TestDuplicateAckWaitsForOriginalCommit(t *testing.T) {
+	ctx := context.Background()
+	s := NewServer(1)
+	id, err := s.CreateSession(ctx, wire.SessionConfig{Feature: "gap", Bits: 2, Gamma: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := s.AssignTask(ctx, id, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := wire.Report{ClientID: "c", Bit: task.Bit, Value: 1}
+	// Attached only now, so the setup above did not wait out two flushes.
+	reg := obs.NewRegistry()
+	w, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncGrouped, FlushInterval: 300 * time.Millisecond, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s.AttachWAL(w)
+	fsyncs := reg.Counter(wal.MetricFsyncs, "")
+
+	accepted := make(chan error, 1)
+	go func() {
+		ack, err := s.SubmitReport(ctx, id, rep)
+		if err == nil && (!ack.Accepted || ack.Duplicate) {
+			err = fmt.Errorf("original acked %+v", ack)
+		}
+		accepted <- err
+	}()
+	waitFor(t, func() bool {
+		res, err := s.Result(id)
+		return err == nil && res.Reports == 1
+	})
+	if n := fsyncs.Value(); n != 0 {
+		t.Skipf("the flush ran (%d fsyncs) before the retransmission could be sent", n)
+	}
+	acks, err := s.SubmitReportBatch(ctx, id, []wire.Report{rep})
+	if err != nil || len(acks) != 1 || acks[0] != wire.AckDuplicate {
+		t.Fatalf("retransmission: acks %v err %v, want one duplicate", acks, err)
+	}
+	if fsyncs.Value() == 0 {
+		t.Error("retransmission acked duplicate while the original was still waiting for its fsync")
+	}
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -48,46 +48,81 @@ func TestEndpointListParsingAndRotation(t *testing.T) {
 	}
 }
 
-// TestClientFailsOverToPrimary drives the satellite behaviour end to
-// end: a client pointed at [standby, primary] lands on the standby, is
-// refused with not_primary plus a leader hint, and transparently
-// retries against the primary — one extra round trip, no caller-visible
-// error.
-func TestClientFailsOverToPrimary(t *testing.T) {
-	primary := NewServer(1)
-	tsPrimary := httptest.NewServer(primary)
-	defer tsPrimary.Close()
+// clientCodecs is one round trip per client codec, each through the
+// shared attempt path (exchange): the JSON leg reads a session's result,
+// the binary leg flushes a one-report batch at it. Against a live
+// session both succeed (the unassigned report is a per-record no_task
+// status, not an error).
+var clientCodecs = []struct {
+	name      string
+	roundTrip func(ctx context.Context, eps *EndpointList, rp *RetryPolicy, sessionID string) error
+}{
+	{"json", func(ctx context.Context, eps *EndpointList, rp *RetryPolicy, sessionID string) error {
+		_, err := (&Admin{Endpoints: eps, Retry: rp}).Result(ctx, sessionID)
+		return err
+	}},
+	{"binary", func(ctx context.Context, eps *EndpointList, rp *RetryPolicy, sessionID string) error {
+		br := &BinaryReporter{Endpoints: eps, Retry: rp}
+		if err := br.Add("nobody", 0, 1); err != nil {
+			return err
+		}
+		_, err := br.Flush(ctx, sessionID)
+		return err
+	}},
+}
 
-	standby := NewServer(2)
-	standby.SetRole(RoleStandby)
-	standby.SetLeaderHint(tsPrimary.URL)
-	tsStandby := httptest.NewServer(standby)
-	defer tsStandby.Close()
-
-	eps := NewEndpointList(tsStandby.URL + "," + tsPrimary.URL)
-	rp := &RetryPolicy{MaxAttempts: 3, Seed: 1}
-	admin := &Admin{Endpoints: eps, Retry: rp}
-	ctx := context.Background()
-	id, err := admin.CreateSession(ctx, wire.SessionConfig{Feature: "f", Bits: 4, Gamma: 1})
-	if err != nil {
-		t.Fatalf("create via standby-first list: %v", err)
-	}
-	if eps.Current() != tsPrimary.URL {
-		t.Errorf("list did not converge on the leader: %q", eps.Current())
-	}
-
-	// The participant shares the already-converged list: first try hits
-	// the primary directly.
-	p := &Participant{Endpoints: eps, ClientID: "c1", RNG: frand.New(3), Retry: rp}
-	if err := p.Participate(ctx, id, 9); err != nil {
-		t.Fatalf("participate: %v", err)
-	}
-	res, err := admin.Finalize(ctx, id)
+// newSessionServer returns a served primary holding one open session.
+func newSessionServer(t *testing.T) (*httptest.Server, string) {
+	t.Helper()
+	s := NewServer(1)
+	id, err := s.CreateSession(context.Background(), wire.SessionConfig{Feature: "f", Bits: 4, Gamma: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reports != 1 {
-		t.Errorf("reports = %d, want 1", res.Reports)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return ts, id
+}
+
+// TestClientFailsOverToPrimary drives the satellite behaviour end to
+// end, over both codecs: a client pointed at [standby, primary] lands on
+// the standby, is refused with not_primary plus a leader hint, and
+// transparently retries against the primary — one extra round trip, no
+// caller-visible error.
+func TestClientFailsOverToPrimary(t *testing.T) {
+	for _, codec := range clientCodecs {
+		t.Run(codec.name, func(t *testing.T) {
+			tsPrimary, id := newSessionServer(t)
+			standby := NewServer(2)
+			standby.SetRole(RoleStandby)
+			standby.SetLeaderHint(tsPrimary.URL)
+			tsStandby := httptest.NewServer(standby)
+			defer tsStandby.Close()
+
+			eps := NewEndpointList(tsStandby.URL + "," + tsPrimary.URL)
+			rp := &RetryPolicy{MaxAttempts: 3, Seed: 1}
+			ctx := context.Background()
+			if err := codec.roundTrip(ctx, eps, rp, id); err != nil {
+				t.Fatalf("round trip via standby-first list: %v", err)
+			}
+			if eps.Current() != tsPrimary.URL {
+				t.Errorf("list did not converge on the leader: %q", eps.Current())
+			}
+
+			// The participant shares the already-converged list: first try
+			// hits the primary directly.
+			p := &Participant{Endpoints: eps, ClientID: "c1", RNG: frand.New(3), Retry: rp}
+			if err := p.Participate(ctx, id, 9); err != nil {
+				t.Fatalf("participate: %v", err)
+			}
+			res, err := (&Admin{Endpoints: eps, Retry: rp}).Finalize(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Reports != 1 {
+				t.Errorf("reports = %d, want 1", res.Reports)
+			}
+		})
 	}
 }
 
@@ -95,22 +130,22 @@ func TestClientFailsOverToPrimary(t *testing.T) {
 // first endpoint refuses connections entirely and the client advances
 // to the live one.
 func TestClientFailsOverPastDeadNode(t *testing.T) {
-	live := NewServer(1)
-	tsLive := httptest.NewServer(live)
-	defer tsLive.Close()
+	for _, codec := range clientCodecs {
+		t.Run(codec.name, func(t *testing.T) {
+			tsLive, id := newSessionServer(t)
+			// A listener that is immediately closed: connection refused.
+			dead := httptest.NewServer(nil)
+			deadURL := dead.URL
+			dead.Close()
 
-	// A listener that is immediately closed: connection refused.
-	dead := httptest.NewServer(nil)
-	deadURL := dead.URL
-	dead.Close()
-
-	eps := NewEndpointList(deadURL + "," + tsLive.URL)
-	admin := &Admin{Endpoints: eps, Retry: &RetryPolicy{MaxAttempts: 3, Seed: 1}}
-	if _, err := admin.CreateSession(context.Background(), wire.SessionConfig{Feature: "f", Bits: 4, Gamma: 1}); err != nil {
-		t.Fatalf("create past dead node: %v", err)
-	}
-	if eps.Current() != tsLive.URL {
-		t.Errorf("list still points at the dead node: %q", eps.Current())
+			eps := NewEndpointList(deadURL + "," + tsLive.URL)
+			if err := codec.roundTrip(context.Background(), eps, &RetryPolicy{MaxAttempts: 3, Seed: 1}, id); err != nil {
+				t.Fatalf("round trip past dead node: %v", err)
+			}
+			if eps.Current() != tsLive.URL {
+				t.Errorf("list still points at the dead node: %q", eps.Current())
+			}
+		})
 	}
 }
 
@@ -119,28 +154,31 @@ func TestClientFailsOverPastDeadNode(t *testing.T) {
 // else to go, the client gives up immediately instead of hammering a
 // node that told it no.
 func TestNotPrimaryWithoutAlternativeIsFatal(t *testing.T) {
-	standby := NewServer(1)
-	standby.SetRole(RoleStandby)
-	ts := httptest.NewServer(standby)
-	defer ts.Close()
+	for _, codec := range clientCodecs {
+		t.Run(codec.name, func(t *testing.T) {
+			standby := NewServer(1)
+			standby.SetRole(RoleStandby)
+			ts := httptest.NewServer(standby)
+			defer ts.Close()
 
-	attempts := 0
-	rp := &RetryPolicy{MaxAttempts: 5, Seed: 1,
-		sleep: func(ctx context.Context, d time.Duration) error { attempts++; return nil }}
-	admin := &Admin{BaseURL: ts.URL, Retry: rp}
-	_, err := admin.CreateSession(context.Background(), wire.SessionConfig{Feature: "f", Bits: 4, Gamma: 1})
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != wire.CodeNotPrimary {
-		t.Fatalf("err = %v, want not_primary StatusError", err)
-	}
-	if se.Failover {
-		t.Error("Failover set with a single-endpoint list")
-	}
-	if Retryable(err) {
-		t.Error("not_primary with no alternative classified retryable")
-	}
-	if attempts != 0 {
-		t.Errorf("client backed off %d times against a node that said not_primary", attempts)
+			attempts := 0
+			rp := &RetryPolicy{MaxAttempts: 5, Seed: 1,
+				sleep: func(ctx context.Context, d time.Duration) error { attempts++; return nil }}
+			err := codec.roundTrip(context.Background(), NewEndpointList(ts.URL), rp, "s1")
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != wire.CodeNotPrimary {
+				t.Fatalf("err = %v, want not_primary StatusError", err)
+			}
+			if se.Failover {
+				t.Error("Failover set with a single-endpoint list")
+			}
+			if Retryable(err) {
+				t.Error("not_primary with no alternative classified retryable")
+			}
+			if attempts != 0 {
+				t.Errorf("client backed off %d times against a node that said not_primary", attempts)
+			}
+		})
 	}
 }
 

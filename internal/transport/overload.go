@@ -425,19 +425,18 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	return nil
 }
 
-// reportRate enforces the per-session report token bucket for a
-// submission carrying n reports, under the session's leaf rateMu (never
-// the table or session locks, so rate accounting cannot serialize the
-// acceptance machine). It returns nil when the submission may proceed
-// (n tokens consumed) and a *rateLimitedError carrying the exact refill
-// wait otherwise. With no policy or a zero rate it admits everything.
+// reportRateLocked enforces the per-session report token bucket for a
+// submission carrying n reports; the caller holds sess.mu, which guards
+// the bucket. It returns nil when the submission may proceed (n tokens
+// consumed) and a *rateLimitedError carrying the exact refill wait
+// otherwise. With no policy or a zero rate it admits everything.
 //
 // Batch semantics: a batch is admitted when the bucket holds
 // min(n, burst) tokens — requiring the full n would permanently starve
 // batches larger than the burst — and then charged the full n, driving
 // the bucket into bounded debt so the sustained rate still converges to
 // ReportRate. With n=1 this is exactly the old single-report bucket.
-func (s *Server) reportRate(sess *session, now time.Time, n float64) error {
+func (s *Server) reportRateLocked(sess *session, now time.Time, n float64) error {
 	ov := s.overload()
 	if ov == nil || ov.policy.ReportRate <= 0 {
 		return nil
@@ -453,8 +452,6 @@ func (s *Server) reportRate(sess *session, now time.Time, n float64) error {
 	if need < 1 {
 		need = 1
 	}
-	sess.rateMu.Lock()
-	defer sess.rateMu.Unlock()
 	if sess.bucketLast.IsZero() {
 		sess.bucketTokens = burst
 	} else if dt := now.Sub(sess.bucketLast).Seconds(); dt > 0 {

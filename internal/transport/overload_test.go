@@ -86,9 +86,9 @@ func TestRetryDoHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestClientParsesRetryAfter checks doJSON surfaces the server's advice on
-// a StatusError, preferring the envelope's precise seconds over the
-// whole-second header.
+// TestClientParsesRetryAfter checks both client codecs surface the
+// server's advice on a StatusError, preferring the envelope's precise
+// seconds over the whole-second header.
 func TestClientParsesRetryAfter(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "5")
@@ -99,17 +99,18 @@ func TestClientParsesRetryAfter(t *testing.T) {
 		})
 	}))
 	defer srv.Close()
-	admin := &Admin{BaseURL: srv.URL}
-	_, err := admin.Result(context.Background(), "s1")
-	var se *StatusError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *StatusError", err)
-	}
-	if se.RetryAfter != 250*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want 250ms (envelope beats header)", se.RetryAfter)
-	}
-	if !se.Retryable() {
-		t.Fatal("unavailable must be retryable")
+	for _, codec := range clientCodecs {
+		err := codec.roundTrip(context.Background(), NewEndpointList(srv.URL), nil, "s1")
+		var se *StatusError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err = %v, want *StatusError", codec.name, err)
+		}
+		if se.RetryAfter != 250*time.Millisecond {
+			t.Fatalf("%s: RetryAfter = %v, want 250ms (envelope beats header)", codec.name, se.RetryAfter)
+		}
+		if !se.Retryable() {
+			t.Fatalf("%s: unavailable must be retryable", codec.name)
+		}
 	}
 }
 

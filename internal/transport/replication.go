@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -201,11 +200,11 @@ func (s *Server) Promote(epoch uint64) error {
 	// inside each round.
 	var live []string
 	for _, sess := range s.table.all() {
-		sess.mu.RLock()
-		if !sess.done && !sess.expired {
-			live = append(live, sess.id)
+		sess.mu.Lock()
+		if sess.Open() == nil {
+			live = append(live, sess.ID())
 		}
-		sess.mu.RUnlock()
+		sess.mu.Unlock()
 	}
 	for _, id := range live {
 		s.roundEvent(id, RoundPromote, "", "", 0, "epoch="+strconv.FormatUint(epoch, 10))
@@ -467,19 +466,18 @@ func (s *Server) ApplyReplicated(seq uint64, payload []byte) error {
 	if seq != applied+1 {
 		return fmt.Errorf("transport: replication gap: applied through seq %d, got %d", applied, seq)
 	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("transport: decoding replicated record %d: %w", seq, err)
+	rec, err := decodeRecord(seq, payload)
+	if err != nil {
+		return err
 	}
 	if w := s.walRef(); w != nil {
 		if _, err := w.AppendAt(seq, payload); err != nil {
 			return fmt.Errorf("%w: %v", errDurability, err)
 		}
 	}
-	if err := s.applyWALLocked(rec); err != nil {
-		return fmt.Errorf("transport: applying replicated record %d (%s %s): %w", seq, rec.Op, rec.Session, err)
+	if err := s.replayLocked(seq, rec); err != nil {
+		return err
 	}
-	s.noteWALSeq(seq)
 	s.metrics.replApplied.Inc()
 	return nil
 }

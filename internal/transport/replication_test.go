@@ -148,8 +148,8 @@ func TestReplStatusAndShipEndpoints(t *testing.T) {
 	var seqs []uint64
 	err = DecodeReplFrames(resp.Body, func(seq uint64, payload []byte) error {
 		seqs = append(seqs, seq)
-		var rec walRecord
-		return json.Unmarshal(payload, &rec)
+		_, err := decodeRecord(seq, payload)
+		return err
 	})
 	resp.Body.Close()
 	if err != nil {

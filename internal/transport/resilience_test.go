@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -438,11 +439,67 @@ func TestLoadSnapshotMissingFileIsFirstBoot(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsCorruptSessions mutates a good snapshot one way per
+// row: Restore must refuse each (and restore nothing) rather than boot
+// on counters that disagree with the client entries they summarize.
 func TestRestoreRejectsCorruptSessions(t *testing.T) {
-	s := NewServer(1)
-	err := s.Restore(&Snapshot{Sessions: []SessionState{{ID: "x", Probs: []float64{0.5, 0.5}, Issued: []int{1}}}})
-	if err == nil {
-		t.Fatal("mismatched issued/probs accepted")
+	ctx := context.Background()
+	src := NewServer(1)
+	id, err := src.CreateSession(ctx, wire.SessionConfig{Feature: "f", Bits: 2, Gamma: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reporter string
+	for _, c := range []string{"a", "b", "c"} {
+		task, err := src.AssignTask(ctx, id, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c != "c" {
+			reporter = c
+			if _, err := src.SubmitReport(ctx, id, wire.Report{ClientID: c, Bit: task.Bit, Value: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	good, err := json.Marshal(src.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(st *SessionState)
+	}{
+		{"intact", nil},
+		{"empty id", func(st *SessionState) { st.ID = "" }},
+		{"issued counts for another bit depth", func(st *SessionState) { st.Issued = st.Issued[:1] }},
+		{"pre-accumulator format: no bit_counts", func(st *SessionState) { st.BitCounts, st.BitSums = nil, nil }},
+		{"bit_counts do not add up to the reported clients", func(st *SessionState) { st.BitCounts[st.Assigned[reporter]]++ }},
+		{"bit_sums do not add up to the reported values", func(st *SessionState) { st.BitSums[st.Assigned[reporter]]-- }},
+		{"reported client without an assignment", func(st *SessionState) { st.Reported["ghost"] = 1 }},
+		{"reported value is not a bit", func(st *SessionState) { st.Reported[reporter] = 2 }},
+		{"assigned index out of range", func(st *SessionState) { st.Assigned["c"] = 2 }},
+		{"issued does not add up to the assigned clients", func(st *SessionState) { st.Issued[0]++ }},
+		{"config no session could have been created with", func(st *SessionState) { st.Config.Bits = 0 }},
+	} {
+		var snap Snapshot
+		if err := json.Unmarshal(good, &snap); err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer(2)
+		if tc.mutate == nil {
+			if err := s.Restore(&snap); err != nil || len(s.Sessions()) != 1 {
+				t.Fatalf("%s: err %v, %d sessions", tc.name, err, len(s.Sessions()))
+			}
+			continue
+		}
+		tc.mutate(&snap.Sessions[0])
+		if err := s.Restore(&snap); err == nil {
+			t.Errorf("%s: restored", tc.name)
+		}
+		if n := len(s.Sessions()); n != 0 {
+			t.Errorf("%s: %d sessions in the table after a refused restore", tc.name, n)
+		}
 	}
 }
 

@@ -27,14 +27,14 @@
 // replays the WAL tail (ReplayWAL); CompactWAL cuts a fresh snapshot
 // and reclaims covered segments.
 //
-// Concurrency: the session table is striped across power-of-two lock
-// shards (table.go), each session guards its own bookkeeping with an
-// RWMutex, and the per-bit sum/count accumulators are atomics — so
-// concurrent reports against one hot session share a read lock on the
-// duplicate path and serialize only for the short exclusive window of a
-// fresh accept. The lock order is Server.mu → tableStripe.mu →
-// session.mu → WAL.mu, with session.rateMu and the round table as
-// leaves; fedlint's lockorder/lockheld analyzers hold the code to it.
+// Concurrency: the session table is a map behind an RWMutex, taken once
+// per request, and each session is a pure state machine
+// (internal/session) behind one plain mutex, taken once per request —
+// single report, batch, or task poll — with decide → WAL append → Apply
+// run under it and the WAL commit (fsync) after it is released, before
+// any ack. The lock order is Server.mu → sessionTable.mu → session.mu →
+// WAL.mu, with the round table as a leaf; fedlint's lockorder/lockheld
+// analyzers hold the code to it.
 //
 // Logging is structured (Server.Logger, a *slog.Logger). The printf-
 // shaped Logf shim that once adapted unmigrated embedders is gone;
@@ -55,25 +55,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/frand"
-	"repro/internal/ldp"
 	"repro/internal/obs"
-	"repro/internal/quantile"
+	machine "repro/internal/session"
 	"repro/internal/trace"
 	"repro/internal/transport/wire"
 	"repro/internal/wal"
 )
 
-// Errors surfaced via HTTP status codes.
-var (
-	errNotFound = errors.New("transport: session not found")
-	errFinal    = errors.New("transport: session already finalized")
-	errExpired  = errors.New("transport: session expired")
-	errCohort   = errors.New("transport: cohort below minimum")
-
-	errSessionStripesLive = errors.New("transport: SetSessionStripes on a non-empty session table")
-)
+// errNotFound is the unknown-session error; the reasons a known session
+// refuses a request are internal/session's.
+var errNotFound = errors.New("transport: session not found")
 
 // sweepEvery throttles the lazy deadline sweep that piggybacks on request
 // handling; Sweep and the GC loop bypass it.
@@ -126,15 +118,12 @@ type Server struct {
 	leader    atomic.Pointer[string]
 	onPromote atomic.Pointer[func(context.Context) error]
 
-	// table is the striped session map (table.go). The pointer itself is
-	// written only at construction and by SetSessionStripes (boot-time,
-	// empty-table only); all concurrent access goes through the stripes'
-	// own locks.
+	// table is the session map (table.go), behind its own lock.
 	table *sessionTable
 
-	// mu guards the id-minting state only: the rng stream and nextID.
-	// Everything per-session moved behind the table stripes and the
-	// sessions' own locks, so the report hot path never touches it.
+	// mu guards the id-minting state — the rng stream and nextID — and
+	// serializes replay and replication apply. The request paths touch it
+	// only to mint a session id.
 	mu     sync.Mutex
 	rng    *frand.RNG
 	nextID int
@@ -149,94 +138,33 @@ type Server struct {
 	// wal, when attached (AttachWAL, before traffic), receives a record
 	// for every acked state transition before the reply; walSeq is the
 	// high-water sequence appended or applied (advanced with a CAS-max,
-	// since appends under different stripe/session locks may race to
-	// record their sequences).
+	// since appends under different session locks may race to record
+	// their sequences).
 	wal    atomic.Pointer[wal.WAL]
 	walSeq atomic.Uint64
 }
 
-// session is one aggregation in progress. For bit sessions the assignment
-// index is a bit position; for threshold sessions it indexes
-// cfg.Thresholds. Either way a client's report carries the index it was
-// assigned plus one bit of information.
-//
-// Locking: id, cfg, probs, rr, thresholds and deadline are immutable
-// after the session is published into the table. The bookkeeping maps
-// and lifecycle flags sit behind mu — an RWMutex so the retransmission
-// storm case (duplicate reports against a hot session) shares a read
-// lock. The per-bit accumulators are atomics written only while mu is
-// held exclusively: lock-free readers (progress views, estimates in
-// flight) see a race-free running count, while finalize — which also
-// holds mu exclusively — always sees a frozen total. rateMu is a leaf
-// guarding only the token bucket, so rate accounting never serializes
-// against the acceptance machine.
+// session is one entry of the table: the state machine plus what serving
+// it needs. mu serializes every use of the machine's mutable state and of
+// the rate bucket; a request takes it exactly once. What the machine
+// fixes at construction (ID, Config, Deadline, IsThreshold) is readable
+// without it.
 type session struct {
-	id         string
-	cfg        wire.SessionConfig
-	probs      []float64
-	rr         *ldp.RandomizedResponse
-	thresholds []uint64 // nil for bit sessions
-	// deadline, when non-zero, is the TTL garbage-collection point: the
-	// session auto-finalizes (cfg.AutoFinalize, cohort permitting) or
-	// expires when the clock passes it. Set before publication, then
-	// read-only.
-	deadline time.Time
+	mu sync.Mutex
+	*machine.Session
 
-	// nReports/bitCount/bitSum replace the old per-report slice: counts
-	// and sums per assignment index, exactly the inputs core.Pool needs.
-	// Sums of 0/1-valued reports are integer-exact, so the aggregate is
-	// bit-identical to folding the report list.
-	nReports atomic.Int64
-	bitCount []atomic.Int64
-	bitSum   []atomic.Int64
-
-	mu     sync.RWMutex
-	issued []int // tasks handed out per index, for low-discrepancy assignment
-	// assigned remembers each client's task so off-assignment reports are
-	// rejected (central randomness, the §5 poisoning defence).
-	assigned map[string]int
-	// reported remembers the exact value each client's accepted report
-	// carried, so a retransmission after a lost ack is re-acked as a
-	// duplicate while a conflicting value is rejected.
-	reported map[string]uint64
-	done     bool
-	expired  bool
-	endedAt  time.Time    // when done or expired flipped, for Retention GC
-	result   *core.Result // bit sessions
-	tail     []float64    // threshold sessions: monotonized tail probs
-
-	// rateMu guards the per-session report-rate token bucket
-	// (OverloadPolicy.ReportRate). Ephemeral by design: the bucket is
-	// not snapshotted or WAL-logged, so a restarted server starts the
-	// session with a full bucket.
-	rateMu       sync.Mutex
+	// The per-session report-rate token bucket (OverloadPolicy.ReportRate).
+	// Ephemeral by design: it is not snapshotted or WAL-logged, so a
+	// restarted server starts the session with a full bucket.
 	bucketTokens float64
 	bucketLast   time.Time
-}
-
-// isThreshold reports the session kind.
-func (sess *session) isThreshold() bool { return len(sess.thresholds) > 0 }
-
-// reportCount returns the accepted-report total. Lock-free and always
-// consistent to read; exact whenever sess.mu is held (the accumulators
-// only move under the exclusive lock).
-func (sess *session) reportCount() int { return int(sess.nReports.Load()) }
-
-// foldReport folds one accepted report into the per-bit accumulators.
-// Callers either hold sess.mu exclusively (live ingest, WAL replay) or
-// own the session before publication (snapshot restore), which is what
-// keeps finalize's view frozen.
-func (sess *session) foldReport(bit int, value uint64) {
-	sess.nReports.Add(1)
-	sess.bitCount[bit].Add(1)
-	sess.bitSum[bit].Add(int64(value))
 }
 
 // NewServer returns a server whose task assignment is seeded for
 // reproducibility (the seed does not protect any secret).
 func NewServer(seed uint64) *Server {
 	s := &Server{
-		table:   newSessionTable(DefaultSessionStripes),
+		table:   &sessionTable{sessions: make(map[string]*session)},
 		rng:     frand.New(seed),
 		metrics: newServerMetrics(obs.NewRegistry()),
 	}
@@ -369,11 +297,11 @@ func errorStatus(err error) (int, wire.Code) {
 	switch {
 	case errors.Is(err, errNotFound):
 		return http.StatusNotFound, wire.CodeNotFound
-	case errors.Is(err, errFinal):
+	case errors.Is(err, machine.ErrFinalized):
 		return http.StatusConflict, wire.CodeFinalized
-	case errors.Is(err, errExpired):
+	case errors.Is(err, machine.ErrExpired):
 		return http.StatusGone, wire.CodeExpired
-	case errors.Is(err, errCohort):
+	case errors.Is(err, machine.ErrCohort):
 		return http.StatusConflict, wire.CodeCohortTooSmall
 	case errors.Is(err, errDurability):
 		return http.StatusServiceUnavailable, wire.CodeUnavailable
@@ -386,112 +314,26 @@ func errorStatus(err error) (int, wire.Code) {
 	}
 }
 
-// buildSession validates cfg and constructs a session with its derived
-// state (probabilities, randomized-response parameters). The id and
-// deadline are left for the caller: CreateSession mints a fresh id and
-// anchors the TTL at the clock; WAL replay reuses the logged values.
-// Keeping the whole derivation here guarantees live creation and replay
-// cannot diverge.
-func buildSession(cfg wire.SessionConfig) (*session, error) {
-	var probs []float64
-	var err error
-	switch {
-	case len(cfg.Thresholds) > 0:
-		// Threshold-query session: clients spread uniformly across the
-		// threshold grid.
-		if cfg.Bits < 1 || cfg.Bits > 52 {
-			return nil, fmt.Errorf("transport: bits=%d out of range", cfg.Bits)
-		}
-		max := uint64(1) << uint(cfg.Bits)
-		for i, t := range cfg.Thresholds {
-			if t >= max {
-				return nil, fmt.Errorf("transport: threshold %d outside [0, 2^%d)", t, cfg.Bits)
-			}
-			if i > 0 && t <= cfg.Thresholds[i-1] {
-				return nil, fmt.Errorf("transport: thresholds must be strictly ascending")
-			}
-		}
-		probs = make([]float64, len(cfg.Thresholds))
-		for i := range probs {
-			probs[i] = 1 / float64(len(probs))
-		}
-	case len(cfg.Probs) > 0:
-		probs, err = core.Normalize(cfg.Probs)
-		if err == nil && len(probs) != cfg.Bits {
-			err = fmt.Errorf("transport: %d probs for %d bits", len(probs), cfg.Bits)
-		}
-	default:
-		probs, err = core.GeometricProbs(cfg.Bits, cfg.Gamma)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Epsilon < 0 {
-		return nil, fmt.Errorf("transport: negative epsilon %v", cfg.Epsilon)
-	}
-	var rr *ldp.RandomizedResponse
-	if cfg.Epsilon > 0 {
-		rr, err = ldp.NewRandomizedResponse(cfg.Epsilon)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.SquashThreshold < 0 || cfg.MinCohort < 0 {
-		return nil, fmt.Errorf("transport: negative squash threshold or cohort")
-	}
-	if cfg.TTLSeconds < 0 {
-		return nil, fmt.Errorf("transport: negative ttl %v", cfg.TTLSeconds)
-	}
-	return &session{
-		cfg:        cfg,
-		probs:      probs,
-		rr:         rr,
-		thresholds: append([]uint64(nil), cfg.Thresholds...),
-		issued:     make([]int, len(probs)),
-		assigned:   make(map[string]int),
-		reported:   make(map[string]uint64),
-		bitCount:   make([]atomic.Int64, len(probs)),
-		bitSum:     make([]atomic.Int64, len(probs)),
-	}, nil
-}
-
 // CreateSession registers a new aggregation session programmatically
 // (the HTTP handler wraps this). With a WAL attached the creation is
-// durable before the id is returned.
+// durable before the id is returned. An invalid config or a failed
+// append just abandons the minted id — gaps in the id sequence are
+// harmless, replay takes the max.
 func (s *Server) CreateSession(ctx context.Context, cfg wire.SessionConfig) (string, error) {
 	_, sp := trace.Start(ctx, "server.create_session")
 	defer sp.End()
-	sess, err := buildSession(cfg)
-	if err != nil {
-		return "", err
-	}
 	s.maybeSweep()
-	now := s.now()
 	s.mu.Lock()
 	s.nextID++
 	nextID := s.nextID
 	id := fmt.Sprintf("s%08x", s.rng.Uint64n(1<<32)^uint64(nextID))
 	s.mu.Unlock()
-	sess.id = id
-	if cfg.TTLSeconds > 0 {
-		sess.deadline = now.Add(time.Duration(cfg.TTLSeconds * float64(time.Second)))
-	}
-	// The create record and the map insert share the stripe's critical
-	// section, so the WAL order and the table-visible order agree (the
-	// invariant Snapshot's frontier-first capture relies on). A failed
-	// append just abandons the minted id — sequence gaps are harmless,
-	// replay takes the max.
-	st := s.table.stripe(id)
-	st.mu.Lock()
-	seq, err := s.walAppendLocked(walRecord{
-		Op: walOpCreate, Session: id, NextID: nextID, Config: &cfg, At: now,
-	})
+	seq, err := s.apply(&machine.Record{
+		Op: machine.OpCreate, Session: id, NextID: nextID, Config: &cfg, At: s.now(),
+	}, true)
 	if err != nil {
-		st.mu.Unlock()
 		return "", err
 	}
-	st.sessions[id] = sess
-	st.mu.Unlock()
 	s.metrics.created.Inc()
 	s.metrics.active.Add(1)
 	sp.Attr("session", id)
@@ -505,8 +347,8 @@ func (s *Server) CreateSession(ctx context.Context, cfg wire.SessionConfig) (str
 	return id, nil
 }
 
-// walCommitTraced commits seq, and — when tracing is armed and something
-// was actually appended — stamps the commit (fsync) latency onto the span
+// walCommitTraced commits seq, and — when tracing is armed and there is
+// a sequence to wait for — stamps the commit (fsync) latency onto the span
 // and the session's round timeline.
 func (s *Server) walCommitTraced(sp *trace.Span, session, client string, seq uint64) error {
 	if !s.tracing() || seq == 0 {
@@ -591,7 +433,7 @@ func (s *Server) maybeSweep() {
 	s.sweep(now, false)
 }
 
-// sweep enforces session deadlines and retention across every stripe.
+// sweep enforces session deadlines and retention across the whole table.
 // Every sweep is counted in the registry; forced sweeps (the GC loop
 // and manual Sweep calls) additionally log their outcome at debug
 // level.
@@ -623,117 +465,76 @@ func (s *Server) sweep(now time.Time, force bool) {
 // sweepDeadline applies the TTL transition to one session, returning
 // how many sessions it expired and finalized (0 or 1 each).
 func (s *Server) sweepDeadline(sess *session, now time.Time) (expired, finalized int) {
-	if sess.deadline.IsZero() || now.Before(sess.deadline) {
+	if sess.Deadline().IsZero() || now.Before(sess.Deadline()) {
 		return 0, 0
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.done || sess.expired {
+	if sess.Open() != nil {
 		return 0, 0
 	}
-	s.roundEvent(sess.id, RoundDeadline, "", "", 0, "")
-	if sess.cfg.AutoFinalize && sess.reportCount() >= sess.cfg.MinCohort {
-		if _, err := s.finalizeLocked(sess, now); err != nil {
-			s.logger().Warn("transport: deadline auto-finalize failed, expiring",
-				"session", sess.id, "error", err)
-			if s.expireLocked(sess, now) {
-				return 1, 0
-			}
-			return 0, 0
+	id := sess.ID()
+	s.roundEvent(id, RoundDeadline, "", "", 0, "")
+	if sess.Config().AutoFinalize && sess.CohortReady() == nil {
+		_, err := s.finalizeLocked(sess, now, "deadline")
+		if err == nil {
+			s.logger().Info("transport: session auto-finalized at deadline",
+				"session", id, "reports", sess.Reports())
+			return 0, 1
 		}
-		s.metrics.finalized.With("deadline").Inc()
-		s.roundEvent(sess.id, RoundFinalize, "", "deadline", 0, "")
-		s.emitEstimateLocked(sess)
-		s.logger().Info("transport: session auto-finalized at deadline",
-			"session", sess.id, "reports", sess.reportCount())
-		return 0, 1
+		s.logger().Warn("transport: deadline auto-finalize failed, expiring",
+			"session", id, "error", err)
+	} else {
+		s.logger().Info("transport: session expired at deadline",
+			"session", id, "reports", sess.Reports())
 	}
-	s.logger().Info("transport: session expired at deadline",
-		"session", sess.id, "reports", sess.reportCount())
-	if s.expireLocked(sess, now) {
-		return 1, 0
+	// A WAL append failure defers the expiry to the next sweep (not
+	// logged ⇒ not applied).
+	if _, err := s.logApplyLocked(sess, &machine.Record{Op: machine.OpExpire, Session: id, At: now}); err != nil {
+		s.logger().Warn("transport: logging session expiry failed, deferring",
+			"session", id, "error", err)
+		return 0, 0
 	}
-	return 0, 0
+	s.metrics.expired.Inc()
+	s.metrics.active.Add(-1)
+	s.roundEvent(id, RoundExpire, "", "deadline", 0, "")
+	return 1, 0
 }
 
 // retireExpiredSession drops an ended session once it ages past
-// Retention, logging the delete record inside the stripe's critical
-// section so WAL order and table order agree. The ended/endedAt checks
-// need no re-verification under the stripe lock: both are sticky (a
-// session never un-ends), so the decision cannot be invalidated between
-// the locks.
+// Retention. Ending is sticky (a session never un-ends), so the decision
+// cannot be invalidated between the session lock and the table lock.
 func (s *Server) retireExpiredSession(sess *session, now time.Time) bool {
 	if s.Retention <= 0 {
 		return false
 	}
-	sess.mu.RLock()
-	due := (sess.done || sess.expired) && !sess.endedAt.IsZero() &&
-		now.Sub(sess.endedAt) >= s.Retention
-	sess.mu.RUnlock()
+	sess.mu.Lock()
+	due := sess.Open() != nil && !sess.EndedAt().IsZero() && now.Sub(sess.EndedAt()) >= s.Retention
+	sess.mu.Unlock()
 	if !due {
 		return false
 	}
-	st := s.table.stripe(sess.id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, live := st.sessions[sess.id]; !live {
-		return false // a concurrent sweep already retired it
-	}
-	if _, err := s.walAppendLocked(walRecord{Op: walOpDelete, Session: sess.id, At: now}); err != nil {
-		// Not logged ⇒ not applied; the next sweep retries.
-		s.logger().Warn("transport: logging retention delete failed, deferring",
-			"session", sess.id, "error", err)
+	id := sess.ID()
+	if _, err := s.apply(&machine.Record{Op: machine.OpDelete, Session: id, At: now}, true); err != nil {
+		// errNotFound: a concurrent sweep already retired it. Anything
+		// else: not logged ⇒ not applied; the next sweep retries.
+		if !errors.Is(err, errNotFound) {
+			s.logger().Warn("transport: logging retention delete failed, deferring",
+				"session", id, "error", err)
+		}
 		return false
 	}
-	delete(st.sessions, sess.id)
 	// The round timeline follows its session out of memory.
-	s.rounds.Load().delete(sess.id)
+	s.rounds.Load().delete(id)
 	s.metrics.deleted.Inc()
 	return true
 }
 
-// expireLocked logs and applies the expiry of a live session; the caller
-// holds sess.mu exclusively. A WAL append failure defers the transition
-// to the next sweep (not logged ⇒ not applied) and reports false.
-func (s *Server) expireLocked(sess *session, at time.Time) bool {
-	if _, err := s.walAppendLocked(walRecord{Op: walOpExpire, Session: sess.id, At: at}); err != nil {
-		s.logger().Warn("transport: logging session expiry failed, deferring",
-			"session", sess.id, "error", err)
-		return false
-	}
-	sess.expired = true
-	sess.endedAt = at
-	s.metrics.expired.Inc()
-	s.metrics.active.Add(-1)
-	s.roundEvent(sess.id, RoundExpire, "", "deadline", 0, "")
-	return true
-}
-
-// emitEstimateLocked stamps the emitted aggregate onto the session's
-// round timeline; the caller holds sess.mu and has finalized the
-// session. Disabled tracing makes this a single branch.
-func (s *Server) emitEstimateLocked(sess *session) {
-	if !s.tracing() {
-		return
-	}
-	detail := ""
-	switch {
-	case sess.result != nil:
-		detail = "estimate=" + strconv.FormatFloat(sess.result.Estimate, 'g', -1, 64) +
-			" reports=" + strconv.Itoa(sess.reportCount())
-	case sess.tail != nil:
-		detail = "thresholds=" + strconv.Itoa(len(sess.tail)) +
-			" reports=" + strconv.Itoa(sess.reportCount())
-	}
-	s.roundEvent(sess.id, RoundEstimate, "", "", 0, detail)
-}
-
-// AssignTask picks the bit a client must report: the bit whose issued
-// count is furthest below its target share — a deterministic
-// low-discrepancy stream that keeps every prefix of assignments within one
-// task of the exact n·p_j proportions (the QMC property of §3.1 for an
-// open-ended client stream). Re-polling clients get their original task
-// off the read lock, with no WAL traffic.
+// AssignTask tells a client which bit to report (session.NextBit picks
+// it for a first-time client). A fresh assignment is acked state — the
+// report-acceptance check depends on it — so it is logged and committed
+// before the reply; a re-polling client gets its original task back with
+// no WAL traffic.
 func (s *Server) AssignTask(ctx context.Context, sessionID, clientID string) (wire.Task, error) {
 	_, sp := trace.Start(ctx, "server.assign_task")
 	defer sp.End()
@@ -748,105 +549,40 @@ func (s *Server) AssignTask(ctx context.Context, sessionID, clientID string) (wi
 	if sess == nil {
 		return wire.Task{}, errNotFound
 	}
+	sess.mu.Lock()
 	var tLock time.Time
 	if sp != nil {
 		tLock = time.Now()
 		sp.AttrDuration("lock_wait", tLock.Sub(t0))
 	}
-	sess.mu.RLock()
-	if sess.expired {
-		sess.mu.RUnlock()
-		return wire.Task{}, errExpired
-	}
-	if sess.done {
-		sess.mu.RUnlock()
-		return wire.Task{}, errFinal
-	}
-	idx, known := sess.assigned[clientID]
-	sess.mu.RUnlock()
 	var seq uint64
-	fresh := false
+	err := sess.Open()
+	idx, known := sess.Assigned(clientID)
+	if err == nil && !known {
+		idx = sess.NextBit()
+		seq, err = s.logApplyLocked(sess, &machine.Record{
+			Op: machine.OpAssign, Session: sessionID, Client: clientID, Bit: idx,
+		})
+	}
+	sess.mu.Unlock()
+	if err != nil {
+		return wire.Task{}, err
+	}
 	if !known {
-		// First sighting of this client: take the write lock and re-run
-		// the checks — another poller for the same client (or a deadline
-		// transition) may have won the race between the locks. A fresh
-		// assignment is acked state: the report-acceptance check
-		// (rep.Bit == assigned) depends on it, so it must survive a
-		// crash between this reply and the client's report.
-		sess.mu.Lock()
-		if sess.expired {
-			sess.mu.Unlock()
-			return wire.Task{}, errExpired
-		}
-		if sess.done {
-			sess.mu.Unlock()
-			return wire.Task{}, errFinal
-		}
-		idx, known = sess.assigned[clientID]
-		if !known {
-			idx = sess.nextBitLocked()
-			var err error
-			seq, err = s.walAppendLocked(walRecord{
-				Op: walOpAssign, Session: sessionID, Client: clientID, Bit: idx,
-			})
-			if err != nil {
-				sess.mu.Unlock()
-				return wire.Task{}, err
-			}
-			sess.assigned[clientID] = idx
-			sess.issued[idx]++
-			fresh = true
-		}
-		sess.mu.Unlock()
-		if fresh {
-			s.metrics.tasks.Inc()
-		}
-	}
-	// The task body derives from immutable session state plus idx, so it
-	// assembles outside any lock.
-	task := wire.Task{
-		SessionID: sessionID,
-		Feature:   sess.cfg.Feature,
-		Bits:      sess.cfg.Bits,
-		Bit:       idx,
-	}
-	if sess.isThreshold() {
-		task.Kind = wire.TaskKindThreshold
-		task.Threshold = sess.thresholds[idx]
-	}
-	if sess.rr != nil {
-		task.Epsilon = sess.rr.Eps
+		s.metrics.tasks.Inc()
 	}
 	if sp != nil {
 		sp.AttrDuration("table_hold", time.Since(tLock))
 		sp.AttrInt("bit", int64(idx))
-		sp.AttrBool("fresh", fresh)
+		sp.AttrBool("fresh", !known)
 	}
 	if err := s.walCommitTraced(sp, sessionID, clientID, seq); err != nil {
 		return wire.Task{}, err
 	}
-	if fresh {
+	if !known {
 		s.roundEvent(sessionID, RoundTaskAssign, clientID, "", 0, "")
 	}
-	return task, nil
-}
-
-// nextBitLocked returns the bit index with the largest deficit relative
-// to its target share after the tasks issued so far; the caller holds
-// sess.mu exclusively.
-func (sess *session) nextBitLocked() int {
-	total := 0
-	for _, c := range sess.issued {
-		total += c
-	}
-	best, bestDeficit := 0, float64(-1)
-	for j, p := range sess.probs {
-		deficit := p*float64(total+1) - float64(sess.issued[j])
-		if deficit > bestDeficit {
-			best, bestDeficit = j, deficit
-		}
-	}
-	return best
+	return sess.Task(idx), nil
 }
 
 func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
@@ -861,109 +597,6 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, task)
-}
-
-// clientKey abstracts the two spellings a client id arrives in — string
-// on the JSON path, a borrowed []byte view of the frame on the binary
-// path — so both codecs run the identical acceptance machine. Map
-// lookups through string(key) compile to the allocation-free form for
-// both instantiations; only the accept path materializes a string.
-type clientKey interface{ ~string | ~[]byte }
-
-// checkOpen reports whether the session still accepts reports.
-func (sess *session) checkOpen() error {
-	sess.mu.RLock()
-	defer sess.mu.RUnlock()
-	if sess.expired {
-		return errExpired
-	}
-	if sess.done {
-		return errFinal
-	}
-	return nil
-}
-
-// ingestReport runs the per-report acceptance machine for one (client,
-// bit, value) submission against sess — the single code path behind
-// both the JSON and binary codecs, which is what makes their
-// idempotency semantics identical by construction.
-//
-// The retransmission cases (duplicate, conflict, every rejection)
-// resolve under the read lock, so a storm of re-submissions against a
-// hot session proceeds concurrently; only a first-sighting accept
-// upgrades to the write lock, re-checks, logs the WAL record inside the
-// exclusive section and folds the accumulators. The returned sequence
-// is non-zero only for an accepted report; the caller must commit it
-// before acking. err is non-nil only for terminal submission failures
-// (session closed, durability).
-func ingestReport[K clientKey](s *Server, sess *session, client K, bit int, value uint64) (wire.AckStatus, uint64, error) {
-	sess.mu.RLock()
-	if sess.expired {
-		sess.mu.RUnlock()
-		return 0, 0, errExpired
-	}
-	if sess.done {
-		sess.mu.RUnlock()
-		return 0, 0, errFinal
-	}
-	if value > 1 {
-		sess.mu.RUnlock()
-		return wire.AckInvalidValue, 0, nil
-	}
-	assigned, ok := sess.assigned[string(client)]
-	if !ok {
-		sess.mu.RUnlock()
-		return wire.AckNoTask, 0, nil
-	}
-	if bit != assigned {
-		sess.mu.RUnlock()
-		return wire.AckWrongBit, 0, nil
-	}
-	if prev, seen := sess.reported[string(client)]; seen {
-		sess.mu.RUnlock()
-		if prev == value {
-			// Already accepted — and already durable, since the original
-			// accept ack waited on the WAL commit.
-			return wire.AckDuplicate, 0, nil
-		}
-		return wire.AckConflict, 0, nil
-	}
-	sess.mu.RUnlock()
-	// First sighting: upgrade to the write lock and re-run the racy
-	// checks (a concurrent submitter or a deadline transition may have
-	// won the window between the locks; assignments are permanent, so
-	// the wrong-bit check needs no re-run).
-	sess.mu.Lock()
-	if sess.expired {
-		sess.mu.Unlock()
-		return 0, 0, errExpired
-	}
-	if sess.done {
-		sess.mu.Unlock()
-		return 0, 0, errFinal
-	}
-	cs := string(client)
-	if prev, seen := sess.reported[cs]; seen {
-		sess.mu.Unlock()
-		if prev == value {
-			return wire.AckDuplicate, 0, nil
-		}
-		return wire.AckConflict, 0, nil
-	}
-	// Log before mutating, ack only after the caller commits: an
-	// accepted report the client heard about must never be lost to a
-	// crash.
-	seq, err := s.walAppendLocked(walRecord{
-		Op: walOpReport, Session: sess.id, Client: cs, Bit: bit, Value: value,
-	})
-	if err != nil {
-		sess.mu.Unlock()
-		return 0, 0, err
-	}
-	sess.reported[cs] = value
-	sess.foldReport(bit, value)
-	sess.mu.Unlock()
-	return wire.AckAccepted, seq, nil
 }
 
 // reportOutcome maps an ingest outcome onto its metric label and round
@@ -1015,61 +648,25 @@ func (s *Server) SubmitReport(ctx context.Context, sessionID string, rep wire.Re
 	defer sp.End()
 	sp.Attr("session", sessionID)
 	sp.Attr("client", rep.ClientID)
-	s.maybeSweep()
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
-	sess := s.table.get(sessionID)
-	if sess == nil {
-		return wire.ReportAck{}, errNotFound
-	}
-	var tLock time.Time
-	if sp != nil {
-		tLock = time.Now()
-		sp.AttrDuration("lock_wait", tLock.Sub(t0))
-	}
-	if err := sess.checkOpen(); err != nil {
-		return wire.ReportAck{}, err
-	}
-	// The per-session token bucket runs before any per-client state is
-	// touched: a rate-limited submission commits nothing and is answered
-	// with a retryable 429 plus precise Retry-After advice.
-	if err := s.reportRate(sess, s.now(), 1); err != nil {
-		sp.Attr("result", "ratelimited")
-		var rl *rateLimitedError
-		if errors.As(err, &rl) {
-			s.roundEvent(sessionID, RoundReportRatelimit, rep.ClientID, "", rl.wait, "")
-		}
-		return wire.ReportAck{}, err
-	}
-	st, seq, err := ingestReport(s, sess, rep.ClientID, rep.Bit, rep.Value)
+	sent := false
+	var buf [1]wire.AckStatus
+	acks, _, err := ingest(s, sp, sessionID, 1, func() (string, int, uint64, bool, error) {
+		first := !sent
+		sent = true
+		return rep.ClientID, rep.Bit, rep.Value, first, nil
+	}, buf[:0])
 	if err != nil {
-		return wire.ReportAck{}, err
+		return wire.ReportAck{}, s.noteRejected(sp, sessionID, rep.ClientID, err)
 	}
+	st := acks[0]
 	label, kind := reportOutcome(st)
-	s.metrics.reports.With(label).Inc()
-	if st == wire.AckAccepted {
-		if sp != nil {
-			sp.AttrDuration("table_hold", time.Since(tLock))
-		}
-		if err := s.walCommitTraced(sp, sessionID, rep.ClientID, seq); err != nil {
-			return wire.ReportAck{}, err
-		}
-		sp.Attr("result", label)
-		s.roundEvent(sessionID, kind, rep.ClientID, "", 0, "")
-		return wire.ReportAck{Accepted: true}, nil
-	}
 	sp.Attr("result", label)
 	reason := ""
 	if kind == RoundReportReject {
 		reason = label
 	}
 	s.roundEvent(sessionID, kind, rep.ClientID, reason, 0, "")
-	if st == wire.AckDuplicate {
-		return wire.ReportAck{Accepted: true, Duplicate: true}, nil
-	}
-	return wire.ReportAck{Accepted: false, Reason: ackReason(st)}, nil
+	return wire.ReportAck{Accepted: st.OK(), Duplicate: st == wire.AckDuplicate, Reason: ackReason(st)}, nil
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -1105,26 +702,23 @@ func (s *Server) Finalize(ctx context.Context, sessionID string) (*wire.Result, 
 		return nil, errNotFound
 	}
 	sess.mu.Lock()
-	if sess.expired {
-		sess.mu.Unlock()
-		return nil, errExpired
-	}
 	var seq uint64
-	first := !sess.done
-	if !sess.done {
-		var err error
-		if seq, err = s.finalizeLocked(sess, s.now()); err != nil {
-			sess.mu.Unlock()
-			return nil, err
-		}
-		s.metrics.finalized.With("api").Inc()
-		s.roundEvent(sessionID, RoundFinalize, "", "api", 0, "")
-		s.emitEstimateLocked(sess)
-		s.logger().DebugContext(ctx, "transport: session finalized",
-			"session", sessionID, "reports", sess.reportCount())
+	var err error
+	first := !sess.Done()
+	if sess.Expired() {
+		err = machine.ErrExpired
+	} else if first {
+		seq, err = s.finalizeLocked(sess, s.now(), "api")
 	}
-	res := sess.wireResultLocked()
+	res := sess.Result()
 	sess.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	if first {
+		s.logger().DebugContext(ctx, "transport: session finalized",
+			"session", sessionID, "reports", res.Reports)
+	}
 	if sp != nil {
 		sp.AttrInt("reports", int64(res.Reports))
 		sp.AttrBool("first", first)
@@ -1138,63 +732,31 @@ func (s *Server) Finalize(ctx context.Context, sessionID string) (*wire.Result, 
 	return res, nil
 }
 
-// computeLocked derives the session's aggregate (bit estimate or
-// threshold tail) from the accumulated counts; the caller holds sess.mu
-// exclusively, freezing the accumulators. It is deterministic in the
-// session state, so WAL replay reproduces the exact result the live
-// server acked: pooling the per-bit sums/counts through core.Pool is
-// arithmetically identical to aggregating the old report list, because
-// sums of 0/1 bits are integer-exact in float64.
-func (sess *session) computeLocked() error {
-	if sess.isThreshold() {
-		sess.tail = sess.tailProbsLocked()
-		return nil
-	}
-	part := &core.Result{
-		Sums:    make([]float64, len(sess.probs)),
-		Counts:  make([]int, len(sess.probs)),
-		Reports: sess.reportCount(),
-	}
-	for j := range sess.probs {
-		part.Counts[j] = int(sess.bitCount[j].Load())
-		part.Sums[j] = float64(sess.bitSum[j].Load())
-	}
-	res, err := core.Pool(core.Config{
-		Bits:            sess.cfg.Bits,
-		Probs:           sess.probs,
-		RR:              sess.rr,
-		SquashThreshold: sess.cfg.SquashThreshold,
-	}, part)
-	if err != nil {
-		return err
-	}
-	sess.result = res
-	return nil
-}
-
-// finalizeLocked checks the cohort, computes the aggregate, logs the
-// transition and marks the session done; the caller holds sess.mu
-// exclusively, has checked done/expired, and commits the returned WAL
-// sequence before acking.
-func (s *Server) finalizeLocked(sess *session, at time.Time) (uint64, error) {
-	n := sess.reportCount()
-	if n < sess.cfg.MinCohort {
-		return 0, fmt.Errorf("%w: cohort %d below minimum %d", errCohort, n, sess.cfg.MinCohort)
-	}
-	if err := sess.computeLocked(); err != nil {
+// finalizeLocked checks the cohort, logs and applies the finalize, and
+// stamps the metrics and round timeline (cause is "api" or "deadline");
+// the caller holds sess.mu, has checked the session is open, and commits
+// the returned WAL sequence before acking.
+func (s *Server) finalizeLocked(sess *session, at time.Time, cause string) (uint64, error) {
+	if err := sess.CohortReady(); err != nil {
 		return 0, err
 	}
-	seq, err := s.walAppendLocked(walRecord{Op: walOpFinalize, Session: sess.id, At: at})
+	id := sess.ID()
+	seq, err := s.logApplyLocked(sess, &machine.Record{Op: machine.OpFinalize, Session: id, At: at})
 	if err != nil {
-		// Computed but not logged: scrap the derived state so the
-		// session reads as still-open and a retry recomputes it.
-		sess.result, sess.tail = nil, nil
 		return 0, err
 	}
-	sess.done = true
-	sess.endedAt = at
-	s.metrics.cohort.Observe(float64(n))
+	s.metrics.cohort.Observe(float64(sess.Reports()))
 	s.metrics.active.Add(-1)
+	s.metrics.finalized.With(cause).Inc()
+	s.roundEvent(id, RoundFinalize, "", cause, 0, "")
+	if s.tracing() {
+		res := sess.Result()
+		detail := "estimate=" + strconv.FormatFloat(res.Estimate, 'g', -1, 64)
+		if sess.IsThreshold() {
+			detail = "thresholds=" + strconv.Itoa(len(res.TailProbs))
+		}
+		s.roundEvent(id, RoundEstimate, "", "", 0, detail+" reports="+strconv.Itoa(res.Reports))
+	}
 	return seq, nil
 }
 
@@ -1215,54 +777,9 @@ func (s *Server) Result(sessionID string) (*wire.Result, error) {
 	if sess == nil {
 		return nil, errNotFound
 	}
-	sess.mu.RLock()
-	defer sess.mu.RUnlock()
-	return sess.wireResultLocked(), nil
-}
-
-// tailProbsLocked aggregates a threshold session: per-threshold report
-// means, unbiased under randomized response and projected onto a
-// monotone tail. A threshold that received no reports is treated as
-// uninformative (0.5) and resolved by the monotone projection against
-// its neighbours. The caller holds sess.mu exclusively.
-func (sess *session) tailProbsLocked() []float64 {
-	raw := make([]float64, len(sess.thresholds))
-	for i := range raw {
-		c := sess.bitCount[i].Load()
-		if c == 0 {
-			raw[i] = 0.5
-			continue
-		}
-		m := float64(sess.bitSum[i].Load()) / float64(c)
-		if sess.rr != nil {
-			m = sess.rr.UnbiasMean(m)
-		}
-		raw[i] = m
-	}
-	return quantile.MonotonizeTail(raw)
-}
-
-// wireResultLocked snapshots the session; the caller holds sess.mu (read
-// or write).
-func (sess *session) wireResultLocked() *wire.Result {
-	out := &wire.Result{
-		SessionID: sess.id,
-		Feature:   sess.cfg.Feature,
-		Done:      sess.done,
-		Reports:   sess.reportCount(),
-	}
-	if sess.result != nil {
-		out.Estimate = sess.result.Estimate
-		out.BitMeans = append([]float64(nil), sess.result.BitMeans...)
-		out.Counts = append([]int(nil), sess.result.Counts...)
-		out.Sums = append([]float64(nil), sess.result.Sums...)
-		out.Squashed = append([]bool(nil), sess.result.Squashed...)
-	}
-	if sess.tail != nil {
-		out.Thresholds = append([]uint64(nil), sess.thresholds...)
-		out.TailProbs = append([]float64(nil), sess.tail...)
-	}
-	return out
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.Result(), nil
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -1281,16 +798,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.maybeSweep()
 	active, done, expired := 0, 0, 0
 	for _, sess := range s.table.all() {
-		sess.mu.RLock()
+		sess.mu.Lock()
 		switch {
-		case sess.done:
+		case sess.Done():
 			done++
-		case sess.expired:
+		case sess.Expired():
 			expired++
 		default:
 			active++
 		}
-		sess.mu.RUnlock()
+		sess.mu.Unlock()
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
@@ -1321,22 +838,23 @@ func (s *Server) Sessions() []SessionSummary {
 	out := make([]SessionSummary, 0, len(all))
 	for _, sess := range all {
 		kind := wire.TaskKindBit
-		if sess.isThreshold() {
+		if sess.IsThreshold() {
 			kind = wire.TaskKindThreshold
 		}
-		sess.mu.RLock()
+		cfg := sess.Config()
+		sess.mu.Lock()
 		row := SessionSummary{
-			SessionID: sess.id,
-			Feature:   sess.cfg.Feature,
+			SessionID: sess.ID(),
+			Feature:   cfg.Feature,
 			Kind:      kind,
-			Bits:      sess.cfg.Bits,
-			Reports:   sess.reportCount(),
-			Done:      sess.done,
-			Expired:   sess.expired,
+			Bits:      cfg.Bits,
+			Reports:   sess.Reports(),
+			Done:      sess.Done(),
+			Expired:   sess.Expired(),
 		}
-		sess.mu.RUnlock()
-		if !sess.deadline.IsZero() {
-			row.Deadline = sess.deadline.Format(time.RFC3339)
+		sess.mu.Unlock()
+		if d := sess.Deadline(); !d.IsZero() {
+			row.Deadline = d.Format(time.RFC3339)
 		}
 		out = append(out, row)
 	}

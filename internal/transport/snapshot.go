@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/ldp"
-	"repro/internal/transport/wire"
+	machine "repro/internal/session"
 )
 
 // Snapshot is a serializable image of the server's whole session table,
@@ -32,52 +29,20 @@ type Snapshot struct {
 	Sessions []SessionState `json:"sessions"`
 }
 
-// SessionState is one session's serializable state. Report data is
-// carried as per-bit accumulators (counts and sums), mirroring the
-// in-memory representation; the legacy per-report list is still
-// accepted on restore for snapshots written by older builds.
-type SessionState struct {
-	ID       string             `json:"id"`
-	Config   wire.SessionConfig `json:"config"`
-	Probs    []float64          `json:"probs"`
-	Issued   []int              `json:"issued"`
-	Assigned map[string]int     `json:"assigned"`
-	Reported map[string]uint64  `json:"reported"`
-	// BitCounts/BitSums are the per-index accumulators: reports received
-	// and their value sum, per bit (or per threshold).
-	BitCounts []int64 `json:"bit_counts"`
-	BitSums   []int64 `json:"bit_sums"`
-	// Reports is the legacy per-report list; read when BitCounts is
-	// absent, never written by current servers.
-	Reports  []core.Report `json:"reports,omitempty"`
-	Deadline time.Time     `json:"deadline"`
-	Done     bool          `json:"done,omitempty"`
-	Expired  bool          `json:"expired,omitempty"`
-	EndedAt  time.Time     `json:"ended_at"`
-	Result   *core.Result  `json:"result,omitempty"`
-	Tail     []float64     `json:"tail,omitempty"`
-}
-
-// loadCounters copies a slice of atomic counters into plain ints.
-func loadCounters(a []atomic.Int64) []int64 {
-	out := make([]int64, len(a))
-	for i := range a {
-		out[i] = a[i].Load()
-	}
-	return out
-}
+// SessionState is one session's serializable state.
+type SessionState = machine.State
 
 // Snapshot captures the current session table.
 //
-// Consistency under the striped locks: the WAL frontier W0 is read
-// FIRST, before any session is copied. Every record with seq ≤ W0
-// finished its Append inside a stripe- or session-level critical
-// section that strictly precedes the copy's acquisition of that same
-// lock, so its effects are in the copy; records appended after (seq >
-// W0, or concurrent with the stripe walk) may or may not be captured,
-// and replay re-applies them idempotently. The copy is therefore not a
-// point-in-time cut of the whole table, but it is always a legal
-// recovery base for WALSeq = W0 — which is all restore needs.
+// Consistency without a global lock: the WAL frontier W0 is read FIRST,
+// before any session is copied. Every record with seq ≤ W0 finished its
+// Append inside a table- or session-level critical section that strictly
+// precedes the copy's acquisition of that same lock, so its effects are
+// in the copy; records appended after (seq > W0, or concurrent with the
+// table walk) may or may not be captured, and replay re-applies them
+// idempotently. The copy is therefore not a point-in-time cut of the
+// whole table, but it is always a legal recovery base for WALSeq = W0 —
+// which is all restore needs.
 func (s *Server) Snapshot() *Snapshot {
 	w0 := s.walSeq.Load()
 	s.mu.Lock()
@@ -85,112 +50,30 @@ func (s *Server) Snapshot() *Snapshot {
 	s.mu.Unlock()
 	snap := &Snapshot{SavedAt: s.now(), NextID: nextID, WALSeq: w0}
 	for _, sess := range s.table.all() {
-		sess.mu.RLock()
-		snap.Sessions = append(snap.Sessions, SessionState{
-			ID:        sess.id,
-			Config:    sess.cfg,
-			Probs:     append([]float64(nil), sess.probs...),
-			Issued:    append([]int(nil), sess.issued...),
-			Assigned:  copyMap(sess.assigned),
-			Reported:  copyMap(sess.reported),
-			BitCounts: loadCounters(sess.bitCount),
-			BitSums:   loadCounters(sess.bitSum),
-			Deadline:  sess.deadline,
-			Done:      sess.done,
-			Expired:   sess.expired,
-			EndedAt:   sess.endedAt,
-			Result:    sess.result,
-			Tail:      append([]float64(nil), sess.tail...),
-		})
-		sess.mu.RUnlock()
+		sess.mu.Lock()
+		snap.Sessions = append(snap.Sessions, sess.State())
+		sess.mu.Unlock()
 	}
 	return snap
 }
 
-func copyMap[K comparable, V any](m map[K]V) map[K]V {
-	out := make(map[K]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // Restore replaces the server's session table with the snapshot's,
-// rebuilding the derived state (randomized-response parameters) from each
-// session's config. Sessions already known to the server under the same id
-// are overwritten.
+// rebuilding each session from its image (session.FromState: derived
+// state from the config, counters checked against the client entries).
+// Sessions already known to the server under the same id are overwritten.
 //
 // With a WAL attached (AttachWAL before Restore), a snapshot claiming to
 // cover sequences past the WAL head is rejected: it was cut against a
 // log that no longer exists, and replaying the present log under it
 // would silently diverge.
 func (s *Server) Restore(snap *Snapshot) error {
-	restored := make(map[string]*session, len(snap.Sessions))
+	restored := make([]*session, 0, len(snap.Sessions))
 	for _, st := range snap.Sessions {
-		if st.ID == "" {
-			return fmt.Errorf("transport: snapshot session with empty id")
+		m, err := machine.FromState(st)
+		if err != nil {
+			return fmt.Errorf("transport: snapshot %w", err)
 		}
-		if len(st.Probs) == 0 || len(st.Issued) != len(st.Probs) {
-			return fmt.Errorf("transport: snapshot session %s: %d issued counts for %d probs",
-				st.ID, len(st.Issued), len(st.Probs))
-		}
-		var rr *ldp.RandomizedResponse
-		if st.Config.Epsilon > 0 {
-			var err error
-			if rr, err = ldp.NewRandomizedResponse(st.Config.Epsilon); err != nil {
-				return fmt.Errorf("transport: snapshot session %s: %w", st.ID, err)
-			}
-		}
-		sess := &session{
-			id:         st.ID,
-			cfg:        st.Config,
-			probs:      append([]float64(nil), st.Probs...),
-			rr:         rr,
-			thresholds: append([]uint64(nil), st.Config.Thresholds...),
-			issued:     append([]int(nil), st.Issued...),
-			assigned:   copyMap(st.Assigned),
-			reported:   copyMap(st.Reported),
-			bitCount:   make([]atomic.Int64, len(st.Probs)),
-			bitSum:     make([]atomic.Int64, len(st.Probs)),
-			deadline:   st.Deadline,
-			done:       st.Done,
-			expired:    st.Expired,
-			endedAt:    st.EndedAt,
-			result:     st.Result,
-		}
-		switch {
-		case len(st.BitCounts) > 0:
-			if len(st.BitCounts) != len(st.Probs) || len(st.BitSums) != len(st.Probs) {
-				return fmt.Errorf("transport: snapshot session %s: %d counts / %d sums for %d probs",
-					st.ID, len(st.BitCounts), len(st.BitSums), len(st.Probs))
-			}
-			var n int64
-			for i := range st.BitCounts {
-				sess.bitCount[i].Store(st.BitCounts[i])
-				sess.bitSum[i].Store(st.BitSums[i])
-				n += st.BitCounts[i]
-			}
-			sess.nReports.Store(n)
-		case len(st.Reports) > 0:
-			// Legacy snapshot: fold the per-report list into the
-			// accumulators (pre-publication, so plain folding is safe).
-			for _, r := range st.Reports {
-				if r.Bit < 0 || r.Bit >= len(st.Probs) {
-					return fmt.Errorf("transport: snapshot session %s: report bit %d out of range", st.ID, r.Bit)
-				}
-				sess.foldReport(r.Bit, r.Value)
-			}
-		}
-		if sess.assigned == nil {
-			sess.assigned = make(map[string]int)
-		}
-		if sess.reported == nil {
-			sess.reported = make(map[string]uint64)
-		}
-		if len(st.Tail) > 0 {
-			sess.tail = append([]float64(nil), st.Tail...)
-		}
-		restored[st.ID] = sess
+		restored = append(restored, &session{Session: m})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -200,12 +83,11 @@ func (s *Server) Restore(snap *Snapshot) error {
 				snap.WALSeq, head)
 		}
 	}
-	for id, sess := range restored {
-		st := s.table.stripe(id)
-		st.mu.Lock()
-		st.sessions[id] = sess
-		st.mu.Unlock()
+	s.table.mu.Lock()
+	for _, sess := range restored {
+		s.table.sessions[sess.ID()] = sess
 	}
+	s.table.mu.Unlock()
 	if snap.NextID > s.nextID {
 		s.nextID = snap.NextID
 	}

@@ -2,135 +2,40 @@ package transport
 
 import "sync"
 
-// DefaultSessionStripes is the default lock-stripe count of the session
-// table. 32 stripes keep the table-level critical sections (map lookup,
-// insert, delete) effectively contention-free for any realistic session
-// count while costing about 2KiB of mutexes; fednumd exposes the knob
-// as -session-stripes for machines with very wide report fan-in.
-const DefaultSessionStripes = 32
-
-// maxSessionStripes bounds the configurable stripe count; past this the
-// stripes cost more cache than they save in contention.
-const maxSessionStripes = 1 << 16
-
-// tableStripe is one lock shard of the session table: a mutex plus the
-// sessions whose ids hash to it. The stripe lock guards only the map —
-// per-session state carries its own locks — so it is held for the few
-// instructions of a map operation, never across WAL commits or
-// aggregation.
-type tableStripe struct {
-	mu       sync.Mutex
-	sessions map[string]*session
-	// _ pads each stripe past a cache line so lock traffic on one
-	// stripe does not false-share with its neighbours.
-	_ [48]byte
-}
-
-// sessionTable is the contention-sharded session map: a power-of-two
-// number of stripes indexed by FNV-1a of the session id. Replacing the
-// old single Server.mu table, it turns "any two requests serialize"
-// into "two requests serialize only when they hash to the same stripe
-// AND both need the map" — per-session work contends only on that
-// session's own locks.
+// sessionTable is the id → session map. Its lock guards only the map —
+// per-session state sits behind each session's own mutex — and is taken
+// once per request, never per record, so readers share an RWMutex and
+// writers (create, retention delete, restore) hold it for a map
+// operation plus, on the live path, the buffered WAL append that must be
+// ordered with it (see Server.apply).
 type sessionTable struct {
-	mask    uint32
-	stripes []tableStripe
+	mu       sync.RWMutex
+	sessions map[string]*session
 }
 
-// newSessionTable builds a table with n stripes rounded up to a power
-// of two; n <= 0 selects DefaultSessionStripes.
-func newSessionTable(n int) *sessionTable {
-	if n <= 0 {
-		n = DefaultSessionStripes
-	}
-	if n > maxSessionStripes {
-		n = maxSessionStripes
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	t := &sessionTable{mask: uint32(size - 1), stripes: make([]tableStripe, size)}
-	for i := range t.stripes {
-		t.stripes[i].sessions = make(map[string]*session)
-	}
-	return t
-}
-
-// fnv32a hashes a session id with FNV-1a: tiny, inlinable, and plenty
-// uniform for ids minted from an rng stream.
-func fnv32a(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
-}
-
-// stripe returns the stripe owning id. Callers lock st.mu before
-// touching st.sessions.
-func (t *sessionTable) stripe(id string) *tableStripe {
-	return &t.stripes[fnv32a(id)&t.mask]
-}
-
-// get returns the session registered under id, nil when absent. The
-// stripe lock is dropped before returning: sessions are never mutated
-// through the table, only through their own locks, so holding the
-// stripe any longer would buy nothing.
+// get returns the session registered under id, nil when absent.
 func (t *sessionTable) get(id string) *session {
-	st := t.stripe(id)
-	st.mu.Lock()
-	sess := st.sessions[id]
-	st.mu.Unlock()
-	return sess
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.sessions[id]
 }
 
-// all collects every registered session, one stripe at a time. The
-// result is not a consistent cut of the whole table (sessions may be
-// added or retired between stripes); callers lock each session before
-// reading its state and tolerate both flavours of skew.
+// all collects every registered session. Sessions may be added or
+// retired right after; callers lock each one before reading its state
+// and tolerate both flavours of skew.
 func (t *sessionTable) all() []*session {
-	var out []*session
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.Lock()
-		for _, sess := range st.sessions {
-			out = append(out, sess)
-		}
-		st.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]*session, 0, len(t.sessions))
+	for _, sess := range t.sessions {
+		out = append(out, sess)
 	}
 	return out
 }
 
-// size counts registered sessions across all stripes.
+// size counts registered sessions.
 func (t *sessionTable) size() int {
-	n := 0
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.Lock()
-		n += len(st.sessions)
-		st.mu.Unlock()
-	}
-	return n
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.sessions)
 }
-
-// SetSessionStripes resizes the session table to n lock stripes
-// (rounded up to a power of two; n <= 0 restores the default). It must
-// run before the server holds any state — resizing would rehash live
-// sessions out from under concurrent requests — so a non-empty table
-// refuses. fednumd wires this to -session-stripes at boot.
-func (s *Server) SetSessionStripes(n int) error {
-	if s.table.size() != 0 {
-		return errSessionStripesLive
-	}
-	s.table = newSessionTable(n)
-	return nil
-}
-
-// SessionStripes reports the configured stripe count.
-func (s *Server) SessionStripes() int { return len(s.table.stripes) }
