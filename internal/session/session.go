@@ -1,6 +1,9 @@
 // Package session is one aggregation session as a pure state machine:
-// the paper's whole server state — per-bit report counts and sums, plus
-// which client was assigned which bit — and every transition on it.
+// the paper's whole server state — per-bit report counts and sums, plus,
+// while the session is open, which client was assigned which bit — and
+// every transition on it. An ended session (finalized or expired) is its
+// sums: the client entries exist to assign, deduplicate and reject, none
+// of which an ended session does, so Apply releases them at the end.
 //
 // It knows nothing of HTTP, locks, logs or metrics; internal/transport
 // owns those and reaches a session only through the constructors (New,
@@ -14,6 +17,8 @@ package session
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -82,8 +87,8 @@ type Session struct {
 	thresholds []uint64 // nil for bit sessions
 	deadline   time.Time
 
-	clients map[string]entry
-	issued  []int // tasks handed out per index, for low-discrepancy assignment
+	clients map[string]entry // nil once the session has ended
+	issued  []int            // tasks handed out per index, for low-discrepancy assignment
 	// Counts and sums of accepted reports per index: exactly the inputs
 	// core.Pool needs. Sums of 0/1 values are integer-exact, so the
 	// aggregate is bit-identical to folding a report list.
@@ -187,7 +192,9 @@ func New(id string, cfg wire.SessionConfig, createdAt time.Time) (*Session, erro
 
 // State is one session's serializable image, the per-session element of
 // a transport.Snapshot. Assigned and Reported are the two views of the
-// client entries.
+// client entries, and are empty for an ended session: its image is the
+// config, the per-index counters, the deadline and end time, and the
+// result or tail — O(bits), however many clients took part.
 type State struct {
 	ID       string             `json:"id"`
 	Config   wire.SessionConfig `json:"config"`
@@ -235,10 +242,17 @@ func (m *Session) State() State {
 }
 
 // FromState rebuilds a session from its image. The derived state comes
-// from the config, as in New; the counters are taken from the image only
-// after they are shown to agree with its client entries, so an old-format
-// or damaged snapshot fails the boot instead of restoring zero counts
-// under a full client map.
+// from the config, as in New. An open session's counters are taken from
+// the image only after they are shown to agree with its client entries,
+// so an old-format or damaged snapshot fails the boot instead of restoring
+// zero counts under a full client map. An ended session's image has no
+// entries to check against, so it is validated by its sums: per index
+// 0 ≤ sum ≤ count ≤ issued. An ended image written before ended sessions
+// dropped their entries still carries them: its counters are checked
+// against them like an open one's, and the entries then released. Either
+// way a finalized session's stored result or tail must be, bit for bit,
+// the aggregate of its counters (aggregate is deterministic), and a
+// session that is not finalized must hold neither.
 func FromState(st State) (*Session, error) {
 	if st.ID == "" {
 		return nil, errors.New("session with empty id")
@@ -252,10 +266,52 @@ func FromState(st State) (*Session, error) {
 		return nil, fmt.Errorf("session %s: %d issued / %d counts / %d sums for %d indexes",
 			st.ID, len(st.Issued), len(st.BitCounts), len(st.BitSums), n)
 	}
+	if st.Done && st.Expired {
+		return nil, fmt.Errorf("session %s: both finalized and expired", st.ID)
+	}
+	if (st.Done || st.Expired) && len(st.Assigned) == 0 && len(st.Reported) == 0 {
+		for j := 0; j < n; j++ {
+			if st.BitSums[j] < 0 || st.BitSums[j] > st.BitCounts[j] || st.BitCounts[j] > int64(st.Issued[j]) {
+				return nil, fmt.Errorf("session %s: index %d holds issued=%d count=%d sum=%d, not 0 <= sum <= count <= issued",
+					st.ID, j, st.Issued[j], st.BitCounts[j], st.BitSums[j])
+			}
+			m.nReports += int(st.BitCounts[j])
+		}
+		copy(m.issued, st.Issued)
+		copy(m.bitCount, st.BitCounts)
+		copy(m.bitSum, st.BitSums)
+	} else if err := m.restoreClients(st); err != nil {
+		return nil, err
+	}
+	m.deadline = st.Deadline
+	m.done, m.expired, m.endedAt = st.Done, st.Expired, st.EndedAt
+	if m.Open() != nil {
+		m.clients = nil
+	}
+	if !m.done {
+		if st.Result != nil || len(st.Tail) > 0 {
+			return nil, fmt.Errorf("session %s: holds a result without being finalized", st.ID)
+		}
+		return m, nil
+	}
+	if err := m.aggregate(); err != nil {
+		return nil, fmt.Errorf("session %s: %w", st.ID, err)
+	}
+	if !sameResult(m.result, st.Result) || !sameFloats(m.tail, st.Tail) {
+		return nil, fmt.Errorf("session %s: stored result is not the aggregate of its per-index sums", st.ID)
+	}
+	return m, nil
+}
+
+// restoreClients rebuilds the client entries and the counters they add up
+// to from st's Assigned and Reported views, refusing an image whose own
+// counters disagree.
+func (m *Session) restoreClients(st State) error {
+	n := len(m.probs)
 	m.clients = make(map[string]entry, len(st.Assigned))
 	for c, idx := range st.Assigned {
 		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("session %s: client %q assigned index %d of %d", st.ID, c, idx, n)
+			return fmt.Errorf("session %s: client %q assigned index %d of %d", st.ID, c, idx, n)
 		}
 		m.clients[c] = entry{idx: int32(idx)}
 		m.issued[idx]++
@@ -263,7 +319,7 @@ func FromState(st State) (*Session, error) {
 	for c, v := range st.Reported {
 		e, ok := m.clients[c]
 		if !ok || v > 1 {
-			return nil, fmt.Errorf("session %s: reported client %q (value %d) has no assignment or no bit", st.ID, c, v)
+			return fmt.Errorf("session %s: reported client %q (value %d) has no assignment or no bit", st.ID, c, v)
 		}
 		e.rep = uint8(v) + 1
 		m.clients[c] = e
@@ -273,17 +329,26 @@ func FromState(st State) (*Session, error) {
 	m.nReports = len(st.Reported)
 	for j := 0; j < n; j++ {
 		if m.issued[j] != st.Issued[j] || m.bitCount[j] != st.BitCounts[j] || m.bitSum[j] != st.BitSums[j] {
-			return nil, fmt.Errorf("session %s: index %d holds issued=%d count=%d sum=%d but its clients add up to %d/%d/%d",
+			return fmt.Errorf("session %s: index %d holds issued=%d count=%d sum=%d but its clients add up to %d/%d/%d",
 				st.ID, j, st.Issued[j], st.BitCounts[j], st.BitSums[j], m.issued[j], m.bitCount[j], m.bitSum[j])
 		}
 	}
-	m.deadline = st.Deadline
-	m.done, m.expired, m.endedAt = st.Done, st.Expired, st.EndedAt
-	m.result = st.Result
-	if len(st.Tail) > 0 {
-		m.tail = append([]float64(nil), st.Tail...)
+	return nil
+}
+
+// sameFloats compares bit patterns, so -0 is not 0: a restored result
+// must encode to the bytes the live server served.
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+func sameResult(a, b *core.Result) bool {
+	if a == nil || b == nil {
+		return a == b
 	}
-	return m, nil
+	return a.Reports == b.Reports && math.Float64bits(a.Estimate) == math.Float64bits(b.Estimate) &&
+		sameFloats(a.BitMeans, b.BitMeans) && sameFloats(a.Sums, b.Sums) &&
+		slices.Equal(a.Counts, b.Counts) && slices.Equal(a.Squashed, b.Squashed)
 }
 
 // ID returns the session id.
@@ -330,7 +395,8 @@ func (m *Session) CohortReady() error {
 	return nil
 }
 
-// Assigned returns the index client was assigned, if any.
+// Assigned returns the index client was assigned, if any. An ended
+// session knows no client: check Open first.
 func (m *Session) Assigned(client string) (int, bool) {
 	e, ok := m.clients[client]
 	return int(e.idx), ok
@@ -398,7 +464,19 @@ func Decide[K ~string | ~[]byte](m *Session, client K, bit int, value uint64) wi
 // already in the state is a no-op, so replaying a log over a snapshot
 // that covers part of it is harmless — but a record that contradicts the
 // state is corruption and an error, never skipped.
+//
+// Finalize and expire release the client entries: an ended session is its
+// per-index sums. An assign or report reaching an ended session is
+// therefore absorbed untouched, whatever it names. Live handlers check
+// Open under the caller's lock before logging, so a log never holds one
+// after its session's end record; the only route here is replay over an
+// image that was cut after the end but claims an earlier log position
+// (transport.Snapshot reads the frontier first), and that image's
+// counters already include it.
 func (m *Session) Apply(rec *Record) error {
+	if (rec.Op == OpAssign || rec.Op == OpReport) && m.Open() != nil {
+		return nil
+	}
 	switch rec.Op {
 	case OpAssign:
 		if _, ok := m.clients[rec.Client]; ok {
@@ -426,15 +504,21 @@ func (m *Session) Apply(rec *Record) error {
 		if m.done {
 			return nil
 		}
+		if m.expired {
+			return errors.New("finalize of an expired session")
+		}
 		if err := m.aggregate(); err != nil {
 			return err
 		}
-		m.done, m.endedAt = true, rec.At
+		m.done, m.endedAt, m.clients = true, rec.At, nil
 	case OpExpire:
 		if m.expired {
 			return nil
 		}
-		m.expired, m.endedAt = true, rec.At
+		if m.done {
+			return errors.New("expire of a finalized session")
+		}
+		m.expired, m.endedAt, m.clients = true, rec.At, nil
 	default:
 		return fmt.Errorf("unknown session op %q", rec.Op)
 	}

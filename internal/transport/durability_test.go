@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -217,6 +218,164 @@ func TestSnapshotPlusWALTailRecovery(t *testing.T) {
 	}
 	if got := stateFingerprint(t, s2); got != want {
 		t.Fatalf("snapshot+tail state differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// endSession ends session id by "finalize", through the API, or by
+// "expire": moving the clock the caller wired into s.Now past a TTL of at
+// most a minute and sweeping.
+func endSession(t *testing.T, s *Server, id, how string, clock *time.Time) {
+	t.Helper()
+	if how == "expire" {
+		*clock = clock.Add(61 * time.Second)
+		s.Sweep()
+		return
+	}
+	if _, err := s.Finalize(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayOverSnapshotCutAfterEnd: Snapshot reads the WAL frontier
+// before it copies the sessions, so under traffic an image can hold a
+// session's end while claiming a log position before the session's first
+// assign. Replay then meets every assign and report of a session that has
+// already released its client entries, and must absorb them: the image's
+// sums include them.
+func TestReplayOverSnapshotCutAfterEnd(t *testing.T) {
+	ctx := context.Background()
+	for _, how := range []string{"finalize", "expire"} {
+		cfg := wire.SessionConfig{Feature: how, Bits: 4, Gamma: 1, Epsilon: 2}
+		if how == "expire" {
+			cfg.TTLSeconds = 60
+		}
+		dir := t.TempDir()
+		clock := time.Unix(1700000000, 0)
+		now := func() time.Time { return clock }
+		s1, w1 := newWALServer(t, dir, 1)
+		s1.Now = now
+		id, err := s1.CreateSession(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		createSeq := s1.WALSeq()
+		for i := 0; i < 40; i++ {
+			client := fmt.Sprintf("c-%d", i)
+			task, err := s1.AssignTask(ctx, id, client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%5 == 4 {
+				continue // assigned, never reports
+			}
+			if _, err := s1.SubmitReport(ctx, id, wire.Report{ClientID: client, Bit: task.Bit, Value: uint64(i % 2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		endSession(t, s1, id, how, &clock)
+		if open := s1.Sessions()[0]; !open.Done && !open.Expired {
+			t.Fatalf("%s: session did not end: %+v", how, open)
+		}
+		want, wantRes := canonical(s1), stateFingerprint(t, s1)
+		late := s1.Snapshot()
+		late.WALSeq = createSeq
+		if err := w1.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, w2 := newWALServer(t, dir, 2)
+		s2.Now = now
+		if err := s2.Restore(late); err != nil {
+			t.Fatalf("%s: restoring the late-cut snapshot: %v", how, err)
+		}
+		applied, err := s2.ReplayWAL()
+		if err != nil {
+			t.Fatalf("%s: replaying the session's whole history over its ended image: %v", how, err)
+		}
+		if wantApplied := int(want.WALSeq - createSeq); applied != wantApplied {
+			t.Errorf("%s: replay applied %d records, want %d", how, applied, wantApplied)
+		}
+		if got := canonical(s2); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: state after replay\n got %+v\nwant %+v", how, got, want)
+		}
+		if got := stateFingerprint(t, s2); got != wantRes {
+			t.Errorf("%s: results after replay\n got %s\nwant %s", how, got, wantRes)
+		}
+		if err := w2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEndedSessionReleasesClients pins what ending a session gives back:
+// the client entries leave the heap at finalize and at expiry — all of
+// what the cohort cost, about 63 B a client at this size — and neither
+// the session nor its image grows with the cohort any more.
+func TestEndedSessionReleasesClients(t *testing.T) {
+	clients := 300000
+	if testing.Short() {
+		clients = 30000
+	}
+	ctx := context.Background()
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, how := range []string{"finalize", "expire"} {
+		cfg := wire.SessionConfig{Feature: "big", Bits: 16, Gamma: 1}
+		if how == "expire" {
+			cfg.TTLSeconds = 60
+		}
+		clock := time.Unix(1700000000, 0)
+		s := NewServer(1)
+		s.Now = func() time.Time { return clock }
+		id, err := s.CreateSession(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty := heap()
+		reps := make([]wire.Report, 0, 256)
+		for i := 0; i < clients; i++ {
+			client := fmt.Sprintf("dev-%08x", i)
+			task, err := s.AssignTask(ctx, id, client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, wire.Report{ClientID: client, Bit: task.Bit, Value: uint64(i & 1)})
+			if len(reps) == cap(reps) || i == clients-1 {
+				if _, err := s.SubmitReportBatch(ctx, id, reps); err != nil {
+					t.Fatal(err)
+				}
+				reps = reps[:0]
+			}
+		}
+		open := heap()
+		endSession(t, s, id, how, &clock)
+		ended := heap()
+		if res, err := s.Result(id); err != nil || res.Reports != clients {
+			t.Fatalf("%s: result %+v, err %v: want %d reports", how, res, err, clients)
+		}
+		// An entry is a 16-byte string header, a 12-byte id and an 8-byte
+		// value before any map overhead: a cohort that cost less was not
+		// measured.
+		if cost := open - empty; cost < int64(40*clients) {
+			t.Fatalf("%s: %d open clients cost %d bytes of heap: not measuring the client entries", how, clients, cost)
+		}
+		if kept := ended - empty; kept > 64<<10 {
+			t.Errorf("%s: heap is %d bytes with the session empty, %d open with %d clients and %d ended: %d bytes outlive the session",
+				how, empty, open, clients, ended, kept)
+		}
+		image, err := json.Marshal(s.Snapshot().Sessions[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(image) >= 4096 {
+			t.Errorf("%s: image of the ended %d-client session is %d bytes, want under 4 KiB", how, clients, len(image))
+		}
+		t.Logf("%s: %d clients cost %.1f B each while open; %d bytes remain after the end; image %d bytes",
+			how, clients, float64(open-empty)/float64(clients), ended-empty, len(image))
 	}
 }
 

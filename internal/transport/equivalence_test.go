@@ -329,6 +329,13 @@ func TestApplyEquivalence(t *testing.T) {
 		}
 
 		want := canonical(h.s)
+		// An ended session is its sums by every route: the live server's
+		// holds no client entries, and each rebuild must equal it.
+		for _, st := range want.Sessions {
+			if (st.Done || st.Expired) && len(st.Assigned)+len(st.Reported) != 0 {
+				t.Fatalf("seed %d: ended session %s still holds client entries: %+v", seed, st.ID, st)
+			}
+		}
 		wantJSON, err := json.Marshal(want)
 		if err != nil {
 			t.Fatal(err)

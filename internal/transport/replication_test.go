@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
+	machine "repro/internal/session"
 	"repro/internal/transport/wire"
 	"repro/internal/wal"
 )
@@ -316,6 +319,57 @@ func TestBootstrapReplicaAlignsAndResumes(t *testing.T) {
 	// Bootstrap refuses to run twice — re-seeding live state is divergence.
 	if err := b.BootstrapReplica(snap); err == nil {
 		t.Error("second bootstrap succeeded, want refusal")
+	}
+}
+
+// TestBootstrapReplicaFromEndedImage: a standby seeded after the round
+// finalized receives the round as its sums — no client entry crosses the
+// wire — and, promoted, serves the primary's result and answers the
+// round's clients as the primary would: finalized.
+func TestBootstrapReplicaFromEndedImage(t *testing.T) {
+	ctx := context.Background()
+	a, _ := replServer(t, t.TempDir(), 1)
+	id := seedSession(t, a, 20)
+	task, err := a.AssignTask(ctx, id, "c0") // re-poll: c0's original task
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Finalize(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Through JSON, as /v1/replication/snapshot ships it.
+	body, err := json.Marshal(a.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(body, []byte(`"c0"`)) {
+		t.Fatalf("bootstrap image of a finalized round names a client: %s", body)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+
+	b, _ := replServer(t, t.TempDir(), 2)
+	b.SetRole(RoleStandby)
+	if err := b.BootstrapReplica(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Promote(2); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Result(id); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("promoted standby serves %+v (err %v), primary finalized %+v", got, err, want)
+	}
+	if got, err := b.Finalize(ctx, id); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("finalize retried on the promoted standby: %+v (err %v), want %+v", got, err, want)
+	}
+	if _, err := b.SubmitReport(ctx, id, wire.Report{ClientID: "c0", Bit: task.Bit, Value: 0}); !errors.Is(err, machine.ErrFinalized) {
+		t.Errorf("retransmission to the promoted standby: %v, want %v", err, machine.ErrFinalized)
+	}
+	if _, err := b.AssignTask(ctx, id, "c0"); !errors.Is(err, machine.ErrFinalized) {
+		t.Errorf("task re-poll on the promoted standby: %v, want %v", err, machine.ErrFinalized)
 	}
 }
 

@@ -86,8 +86,9 @@ type Server struct {
 	// slog.Default().
 	Logger *slog.Logger
 	// Retention, when positive, garbage-collects finalized and expired
-	// sessions that many ticks after they ended, bounding memory on a
-	// long-lived daemon. Zero keeps them forever.
+	// sessions that many ticks after they ended. Zero keeps them forever,
+	// which costs O(bits) each: an ended session holds its per-bit sums
+	// and result, not its clients.
 	Retention time.Duration
 
 	metrics *serverMetrics
@@ -556,13 +557,18 @@ func (s *Server) AssignTask(ctx context.Context, sessionID, clientID string) (wi
 		sp.AttrDuration("lock_wait", tLock.Sub(t0))
 	}
 	var seq uint64
+	var idx int
+	var known bool
+	// An ended session has no client entries to look up: it answers
+	// finalized or expired whoever asks.
 	err := sess.Open()
-	idx, known := sess.Assigned(clientID)
-	if err == nil && !known {
-		idx = sess.NextBit()
-		seq, err = s.logApplyLocked(sess, &machine.Record{
-			Op: machine.OpAssign, Session: sessionID, Client: clientID, Bit: idx,
-		})
+	if err == nil {
+		if idx, known = sess.Assigned(clientID); !known {
+			idx = sess.NextBit()
+			seq, err = s.logApplyLocked(sess, &machine.Record{
+				Op: machine.OpAssign, Session: sessionID, Client: clientID, Bit: idx,
+			})
+		}
 	}
 	sess.mu.Unlock()
 	if err != nil {

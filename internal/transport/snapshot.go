@@ -25,7 +25,8 @@ type Snapshot struct {
 	// recovery replays only records after it, and compaction reclaims
 	// segments at or below it. Zero on servers running without a WAL.
 	WALSeq uint64 `json:"wal_seq,omitempty"`
-	// Sessions holds every session's full state.
+	// Sessions holds every session's image: an open one with its client
+	// entries, an ended one as its per-bit sums and result only.
 	Sessions []SessionState `json:"sessions"`
 }
 
@@ -40,9 +41,11 @@ type SessionState = machine.State
 // precedes the copy's acquisition of that same lock, so its effects are
 // in the copy; records appended after (seq > W0, or concurrent with the
 // table walk) may or may not be captured, and replay re-applies them
-// idempotently. The copy is therefore not a point-in-time cut of the
-// whole table, but it is always a legal recovery base for WALSeq = W0 —
-// which is all restore needs.
+// idempotently — against the client entries while the session is open,
+// and absorbed whole by a session copied after its end, whose sums
+// already include them. The copy is therefore not a point-in-time cut of
+// the whole table, but it is always a legal recovery base for WALSeq =
+// W0 — which is all restore needs.
 func (s *Server) Snapshot() *Snapshot {
 	w0 := s.walSeq.Load()
 	s.mu.Lock()
@@ -59,7 +62,8 @@ func (s *Server) Snapshot() *Snapshot {
 
 // Restore replaces the server's session table with the snapshot's,
 // rebuilding each session from its image (session.FromState: derived
-// state from the config, counters checked against the client entries).
+// state from the config; an open session's counters checked against its
+// client entries, an ended one's against each other and its result).
 // Sessions already known to the server under the same id are overwritten.
 //
 // With a WAL attached (AttachWAL before Restore), a snapshot claiming to
