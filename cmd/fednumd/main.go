@@ -6,16 +6,19 @@
 //
 // The daemon is crash-safe: SIGINT/SIGTERM trigger a graceful drain with a
 // bounded grace period, and with -snapshot set the whole session table is
-// written to disk on shutdown and restored on the next boot, so an
-// in-flight aggregation survives a restart. Sessions created with a TTL
+// written to disk on shutdown — as a checkpoint, the log's own records in
+// the replication framing — and restored on the next boot through the same
+// Apply that replays the log, so an in-flight aggregation survives a
+// restart. A -snapshot file in the JSON format of earlier builds is still
+// read, for this release. Sessions created with a TTL
 // are garbage-collected (auto-finalized or expired) by a background
 // sweeper.
 //
 // With -wal-dir set the daemon is additionally kill-9 durable: every
 // acked state transition is committed to a write-ahead log before the
-// reply leaves the process, boot restores the latest snapshot and
+// reply leaves the process, boot restores the latest checkpoint and
 // replays the WAL tail, and -snapshot-interval runs a background
-// compactor that cuts snapshots and reclaims covered log segments. The
+// compactor that cuts checkpoints and reclaims covered log segments. The
 // ack⇒durable guarantee depends on -wal-fsync: "always" (default) and
 // "grouped" survive power loss, "never" only survives process crashes.
 //

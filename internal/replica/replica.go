@@ -19,7 +19,6 @@ package replica
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -355,11 +354,11 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("replica: snapshot from %s: status %d", base, resp.StatusCode)
 	}
-	var snap transport.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("replica: decoding snapshot: %w", err)
+	snap, err := transport.ReadSnapshot(resp.Body)
+	if err != nil {
+		return fmt.Errorf("replica: snapshot from %s: %w", base, err)
 	}
-	if err := f.opts.Server.BootstrapReplica(&snap); err != nil {
+	if err := f.opts.Server.BootstrapReplica(snap); err != nil {
 		return err
 	}
 	if f.bootstraps != nil {

@@ -6,18 +6,18 @@
 // of which an ended session does, so Apply releases them at the end.
 //
 // It knows nothing of HTTP, locks, logs or metrics; internal/transport
-// owns those and reaches a session only through the constructors (New,
-// FromState), the read-only Decide and accessors, and the single mutator
+// owns those and reaches a session only through the constructor New, the
+// read-only Decide and accessors, Checkpoint, and the single mutator
 // Apply. Live ingest (after the record is logged), WAL replay, replication
-// and snapshot restore all go through that one Apply, so they cannot
-// diverge. A Session is not safe for concurrent use: the caller
+// and checkpoint restore all go through that one Apply, so they cannot
+// diverge, and Apply's contradiction errors are the only validation a
+// checkpoint gets. A Session is not safe for concurrent use: the caller
 // serializes access.
 package session
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -36,14 +36,24 @@ var (
 )
 
 // Record operations. Create and Delete change the session table and are
-// applied by its owner; the rest are Apply's.
+// applied by its owner; the rest are Apply's. Clients is written only
+// into checkpoints, never into the log.
 const (
 	OpCreate   = "create"
 	OpAssign   = "assign"
 	OpReport   = "report"
+	OpClients  = "clients"
 	OpFinalize = "finalize"
 	OpExpire   = "expire"
 	OpDelete   = "delete"
+)
+
+// An OpClients record holds at most the FNR1 batch limit of entries and,
+// since an id from a task URL can be far longer than a binary frame's 256
+// bytes, closes once its ids reach 1 MiB: well under wal.MaxRecordBytes.
+const (
+	clientChunk  = wire.MaxBatchReports
+	chunkIDBytes = 1 << 20
 )
 
 // Record is one state transition and, marshalled, the payload of its WAL
@@ -63,6 +73,26 @@ type Record struct {
 	// At anchors time-derived state: the create time (TTL deadlines are
 	// At+TTL) and the finalize/expire transition time (retention GC).
 	At time.Time `json:"at,omitempty"`
+	// Checkpoint fields: the entries of an OpClients record, and the
+	// counters a checkpoint's finalize or expire record carries.
+	Entries  *Entries  `json:"entries,omitempty"`
+	Counters *Counters `json:"counters,omitempty"`
+}
+
+// Entries are client entries: parallel client ids, assigned indexes and
+// report states (0 = assigned only, 1 + the reported value).
+type Entries struct {
+	Clients []string `json:"clients"`
+	Indexes []int    `json:"indexes"`
+	States  []uint8  `json:"states"`
+}
+
+// Counters are a session's per-index counters, which an ended session,
+// having no entries to derive them from, is checkpointed as.
+type Counters struct {
+	Issued []int   `json:"issued"`
+	Counts []int64 `json:"counts"`
+	Sums   []int64 `json:"sums"`
 }
 
 // entry is everything remembered about one client: the index it was
@@ -77,14 +107,15 @@ type entry struct {
 
 // Session is one aggregation in progress. For bit sessions the assignment
 // index is a bit position; for threshold sessions it indexes
-// cfg.Thresholds. id, cfg, probs, rr, thresholds and deadline never
-// change after construction.
+// cfg.Thresholds. id, cfg, probs, rr, thresholds, createdAt and deadline
+// never change after construction.
 type Session struct {
 	id         string
 	cfg        wire.SessionConfig
 	probs      []float64
 	rr         *ldp.RandomizedResponse
 	thresholds []uint64 // nil for bit sessions
+	createdAt  time.Time
 	deadline   time.Time
 
 	clients map[string]entry // nil once the session has ended
@@ -103,11 +134,14 @@ type Session struct {
 	tail    []float64    // threshold sessions: monotonized tail probs
 }
 
-// derive validates cfg and builds the session's immutable derived state
-// with empty counters. Both constructors go through it, so a created, a
-// replayed and a restored session cannot disagree on probabilities or
-// randomized-response parameters.
-func derive(id string, cfg wire.SessionConfig) (*Session, error) {
+// New validates cfg and builds an empty session from it; a positive TTL
+// puts the deadline that long after createdAt. Every session — created,
+// replayed or restored — comes from a create record through here, so none
+// can disagree on probabilities or randomized-response parameters.
+func New(id string, cfg wire.SessionConfig, createdAt time.Time) (*Session, error) {
+	if id == "" {
+		return nil, errors.New("session: empty id")
+	}
 	var probs []float64
 	var err error
 	switch {
@@ -162,6 +196,8 @@ func derive(id string, cfg wire.SessionConfig) (*Session, error) {
 		probs:      probs,
 		rr:         rr,
 		thresholds: append([]uint64(nil), cfg.Thresholds...),
+		createdAt:  createdAt,
+		clients:    make(map[string]entry),
 		issued:     make([]int, len(probs)),
 		bitCount:   make([]int64, len(probs)),
 		bitSum:     make([]int64, len(probs)),
@@ -173,182 +209,10 @@ func derive(id string, cfg wire.SessionConfig) (*Session, error) {
 			return nil, err
 		}
 	}
-	return m, nil
-}
-
-// New builds an empty session from its config; a positive TTL puts the
-// deadline that long after createdAt.
-func New(id string, cfg wire.SessionConfig, createdAt time.Time) (*Session, error) {
-	m, err := derive(id, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.clients = make(map[string]entry)
 	if cfg.TTLSeconds > 0 {
 		m.deadline = createdAt.Add(time.Duration(cfg.TTLSeconds * float64(time.Second)))
 	}
 	return m, nil
-}
-
-// State is one session's serializable image, the per-session element of
-// a transport.Snapshot. Assigned and Reported are the two views of the
-// client entries, and are empty for an ended session: its image is the
-// config, the per-index counters, the deadline and end time, and the
-// result or tail — O(bits), however many clients took part.
-type State struct {
-	ID       string             `json:"id"`
-	Config   wire.SessionConfig `json:"config"`
-	Probs    []float64          `json:"probs"`
-	Issued   []int              `json:"issued"`
-	Assigned map[string]int     `json:"assigned"`
-	Reported map[string]uint64  `json:"reported"`
-	// BitCounts/BitSums are the per-index accumulators: reports received
-	// and their value sum, per bit (or per threshold).
-	BitCounts []int64      `json:"bit_counts"`
-	BitSums   []int64      `json:"bit_sums"`
-	Deadline  time.Time    `json:"deadline"`
-	Done      bool         `json:"done,omitempty"`
-	Expired   bool         `json:"expired,omitempty"`
-	EndedAt   time.Time    `json:"ended_at"`
-	Result    *core.Result `json:"result,omitempty"`
-	Tail      []float64    `json:"tail,omitempty"`
-}
-
-// State captures the session.
-func (m *Session) State() State {
-	st := State{
-		ID:        m.id,
-		Config:    m.cfg,
-		Probs:     append([]float64(nil), m.probs...),
-		Issued:    append([]int(nil), m.issued...),
-		Assigned:  make(map[string]int, len(m.clients)),
-		Reported:  make(map[string]uint64, m.nReports),
-		BitCounts: append([]int64(nil), m.bitCount...),
-		BitSums:   append([]int64(nil), m.bitSum...),
-		Deadline:  m.deadline,
-		Done:      m.done,
-		Expired:   m.expired,
-		EndedAt:   m.endedAt,
-		Result:    m.result,
-		Tail:      append([]float64(nil), m.tail...),
-	}
-	for c, e := range m.clients {
-		st.Assigned[c] = int(e.idx)
-		if e.rep != 0 {
-			st.Reported[c] = uint64(e.rep - 1)
-		}
-	}
-	return st
-}
-
-// FromState rebuilds a session from its image. The derived state comes
-// from the config, as in New. An open session's counters are taken from
-// the image only after they are shown to agree with its client entries,
-// so an old-format or damaged snapshot fails the boot instead of restoring
-// zero counts under a full client map. An ended session's image has no
-// entries to check against, so it is validated by its sums: per index
-// 0 ≤ sum ≤ count ≤ issued. An ended image written before ended sessions
-// dropped their entries still carries them: its counters are checked
-// against them like an open one's, and the entries then released. Either
-// way a finalized session's stored result or tail must be, bit for bit,
-// the aggregate of its counters (aggregate is deterministic), and a
-// session that is not finalized must hold neither.
-func FromState(st State) (*Session, error) {
-	if st.ID == "" {
-		return nil, errors.New("session with empty id")
-	}
-	m, err := derive(st.ID, st.Config)
-	if err != nil {
-		return nil, fmt.Errorf("session %s: %w", st.ID, err)
-	}
-	n := len(m.probs)
-	if len(st.Issued) != n || len(st.BitCounts) != n || len(st.BitSums) != n {
-		return nil, fmt.Errorf("session %s: %d issued / %d counts / %d sums for %d indexes",
-			st.ID, len(st.Issued), len(st.BitCounts), len(st.BitSums), n)
-	}
-	if st.Done && st.Expired {
-		return nil, fmt.Errorf("session %s: both finalized and expired", st.ID)
-	}
-	if (st.Done || st.Expired) && len(st.Assigned) == 0 && len(st.Reported) == 0 {
-		for j := 0; j < n; j++ {
-			if st.BitSums[j] < 0 || st.BitSums[j] > st.BitCounts[j] || st.BitCounts[j] > int64(st.Issued[j]) {
-				return nil, fmt.Errorf("session %s: index %d holds issued=%d count=%d sum=%d, not 0 <= sum <= count <= issued",
-					st.ID, j, st.Issued[j], st.BitCounts[j], st.BitSums[j])
-			}
-			m.nReports += int(st.BitCounts[j])
-		}
-		copy(m.issued, st.Issued)
-		copy(m.bitCount, st.BitCounts)
-		copy(m.bitSum, st.BitSums)
-	} else if err := m.restoreClients(st); err != nil {
-		return nil, err
-	}
-	m.deadline = st.Deadline
-	m.done, m.expired, m.endedAt = st.Done, st.Expired, st.EndedAt
-	if m.Open() != nil {
-		m.clients = nil
-	}
-	if !m.done {
-		if st.Result != nil || len(st.Tail) > 0 {
-			return nil, fmt.Errorf("session %s: holds a result without being finalized", st.ID)
-		}
-		return m, nil
-	}
-	if err := m.aggregate(); err != nil {
-		return nil, fmt.Errorf("session %s: %w", st.ID, err)
-	}
-	if !sameResult(m.result, st.Result) || !sameFloats(m.tail, st.Tail) {
-		return nil, fmt.Errorf("session %s: stored result is not the aggregate of its per-index sums", st.ID)
-	}
-	return m, nil
-}
-
-// restoreClients rebuilds the client entries and the counters they add up
-// to from st's Assigned and Reported views, refusing an image whose own
-// counters disagree.
-func (m *Session) restoreClients(st State) error {
-	n := len(m.probs)
-	m.clients = make(map[string]entry, len(st.Assigned))
-	for c, idx := range st.Assigned {
-		if idx < 0 || idx >= n {
-			return fmt.Errorf("session %s: client %q assigned index %d of %d", st.ID, c, idx, n)
-		}
-		m.clients[c] = entry{idx: int32(idx)}
-		m.issued[idx]++
-	}
-	for c, v := range st.Reported {
-		e, ok := m.clients[c]
-		if !ok || v > 1 {
-			return fmt.Errorf("session %s: reported client %q (value %d) has no assignment or no bit", st.ID, c, v)
-		}
-		e.rep = uint8(v) + 1
-		m.clients[c] = e
-		m.bitCount[e.idx]++
-		m.bitSum[e.idx] += int64(v)
-	}
-	m.nReports = len(st.Reported)
-	for j := 0; j < n; j++ {
-		if m.issued[j] != st.Issued[j] || m.bitCount[j] != st.BitCounts[j] || m.bitSum[j] != st.BitSums[j] {
-			return fmt.Errorf("session %s: index %d holds issued=%d count=%d sum=%d but its clients add up to %d/%d/%d",
-				st.ID, j, st.Issued[j], st.BitCounts[j], st.BitSums[j], m.issued[j], m.bitCount[j], m.bitSum[j])
-		}
-	}
-	return nil
-}
-
-// sameFloats compares bit patterns, so -0 is not 0: a restored result
-// must encode to the bytes the live server served.
-func sameFloats(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-}
-
-func sameResult(a, b *core.Result) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.Reports == b.Reports && math.Float64bits(a.Estimate) == math.Float64bits(b.Estimate) &&
-		sameFloats(a.BitMeans, b.BitMeans) && sameFloats(a.Sums, b.Sums) &&
-		slices.Equal(a.Counts, b.Counts) && slices.Equal(a.Squashed, b.Squashed)
 }
 
 // ID returns the session id.
@@ -404,9 +268,11 @@ func (m *Session) Assigned(client string) (int, bool) {
 
 // NextBit picks the index for a new client: the one whose issued count is
 // furthest below its target share — a deterministic low-discrepancy
-// stream that keeps every prefix of assignments within one task of the
-// exact n·p_j proportions (the QMC property of §3.1 for an open-ended
-// client stream).
+// stream (the QMC property of §3.1 for an open-ended client stream). An
+// index is picked only while it is below its share, so it never runs a
+// whole task ahead of n·p_j; it can fall further behind, and every prefix
+// stays within 1.5 tasks of the exact n·p_j proportions — measured, not
+// proven, by TestNextBitDiscrepancy, whose sweeps never exceeded 1.36.
 func (m *Session) NextBit() int {
 	total := 0
 	for _, c := range m.issued {
@@ -461,25 +327,29 @@ func Decide[K ~string | ~[]byte](m *Session, client K, bit int, value uint64) wi
 
 // Apply performs one transition and is the only code that changes a
 // session. It is idempotent — an assignment, report, finalize or expire
-// already in the state is a no-op, so replaying a log over a snapshot
+// already in the state is a no-op, so replaying a log over a checkpoint
 // that covers part of it is harmless — but a record that contradicts the
-// state is corruption and an error, never skipped.
+// state (a known client assigned another index, an accepted report
+// carrying another value) is corruption and an error, never skipped.
 //
 // Finalize and expire release the client entries: an ended session is its
 // per-index sums. An assign or report reaching an ended session is
 // therefore absorbed untouched, whatever it names. Live handlers check
 // Open under the caller's lock before logging, so a log never holds one
-// after its session's end record; the only route here is replay over an
-// image that was cut after the end but claims an earlier log position
-// (transport.Snapshot reads the frontier first), and that image's
-// counters already include it.
+// after its session's end record; the only route here is replay over a
+// checkpoint that was cut after the end but claims an earlier log
+// position (transport.Snapshot reads the frontier first), and that
+// checkpoint's counters already include it.
 func (m *Session) Apply(rec *Record) error {
 	if (rec.Op == OpAssign || rec.Op == OpReport) && m.Open() != nil {
 		return nil
 	}
 	switch rec.Op {
 	case OpAssign:
-		if _, ok := m.clients[rec.Client]; ok {
+		if e, ok := m.clients[rec.Client]; ok {
+			if int(e.idx) != rec.Bit {
+				return fmt.Errorf("client %q assigned bit %d, record says %d", rec.Client, e.idx, rec.Bit)
+			}
 			return nil
 		}
 		if rec.Bit < 0 || rec.Bit >= len(m.issued) {
@@ -489,8 +359,8 @@ func (m *Session) Apply(rec *Record) error {
 		m.issued[rec.Bit]++
 	case OpReport:
 		e, ok := m.clients[rec.Client]
-		if !ok || rec.Bit != int(e.idx) || rec.Value > 1 {
-			return fmt.Errorf("report (bit %d, value %d) from client %q does not match its assignment", rec.Bit, rec.Value, rec.Client)
+		if !ok || rec.Bit != int(e.idx) || rec.Value > 1 || (e.rep != 0 && uint64(e.rep-1) != rec.Value) {
+			return fmt.Errorf("report (bit %d, value %d) from client %q contradicts its assignment or accepted report", rec.Bit, rec.Value, rec.Client)
 		}
 		if e.rep != 0 {
 			return nil
@@ -500,7 +370,33 @@ func (m *Session) Apply(rec *Record) error {
 		m.nReports++
 		m.bitCount[e.idx]++
 		m.bitSum[e.idx] += int64(rec.Value)
+	case OpClients:
+		// Entries run through the assign and report rules, which derive the
+		// counters and refuse a report state above 2 as a value above 1.
+		e := rec.Entries
+		if e == nil || len(e.Indexes) != len(e.Clients) || len(e.States) != len(e.Clients) {
+			return errors.New("clients record without equally many ids, indexes and report states")
+		}
+		if m.Open() != nil {
+			return errors.New("client entries for an ended session")
+		}
+		var one Record // one for the whole chunk: a record passed to Apply escapes
+		for i, c := range e.Clients {
+			one = Record{Op: OpAssign, Client: c, Bit: e.Indexes[i]}
+			if err := m.Apply(&one); err != nil {
+				return err
+			}
+			if st := e.States[i]; st > 0 {
+				one.Op, one.Value = OpReport, uint64(st)-1
+				if err := m.Apply(&one); err != nil {
+					return err
+				}
+			}
+		}
 	case OpFinalize:
+		if err := m.takeCounters(rec); err != nil {
+			return err
+		}
 		if m.done {
 			return nil
 		}
@@ -512,6 +408,9 @@ func (m *Session) Apply(rec *Record) error {
 		}
 		m.done, m.endedAt, m.clients = true, rec.At, nil
 	case OpExpire:
+		if err := m.takeCounters(rec); err != nil {
+			return err
+		}
 		if m.expired {
 			return nil
 		}
@@ -523,6 +422,73 @@ func (m *Session) Apply(rec *Record) error {
 		return fmt.Errorf("unknown session op %q", rec.Op)
 	}
 	return nil
+}
+
+// takeCounters loads the per-index counters a checkpoint's end record
+// carries, if any, before the end is applied. They are taken only by a
+// session that holds nothing yet — open and without entries, so with
+// zero counters, which move only with an entry — and only if they could
+// have been accumulated: 0 ≤ sum ≤ count ≤ issued per index.
+func (m *Session) takeCounters(rec *Record) error {
+	c := rec.Counters
+	if c == nil {
+		return nil
+	}
+	n := len(m.issued)
+	if m.Open() != nil || len(m.clients) > 0 || len(c.Issued) != n || len(c.Counts) != n || len(c.Sums) != n {
+		return fmt.Errorf("%s record carries %d issued / %d counts / %d sums for a session of %d indexes holding %d clients (%v)",
+			rec.Op, len(c.Issued), len(c.Counts), len(c.Sums), n, len(m.clients), m.Open())
+	}
+	reports := 0
+	for j := range n {
+		if c.Sums[j] < 0 || c.Sums[j] > c.Counts[j] || c.Counts[j] > int64(c.Issued[j]) {
+			return fmt.Errorf("index %d holds issued=%d count=%d sum=%d, not 0 <= sum <= count <= issued",
+				j, c.Issued[j], c.Counts[j], c.Sums[j])
+		}
+		reports += int(c.Counts[j])
+	}
+	m.nReports = reports
+	copy(m.issued, c.Issued)
+	copy(m.bitCount, c.Counts)
+	copy(m.bitSum, c.Sums)
+	return nil
+}
+
+// Checkpoint returns the records that rebuild the session from nothing
+// through Apply: its create record, whose At is the creation time so the
+// deadline comes back exact, then either its client entries in OpClients
+// chunks while it is open, or its finalize or expire record carrying the
+// per-index counters once it has ended (Apply recomputes the result).
+// Entries keep the map's order, which is free because NextBit depends on
+// the past only through issued. The records share no mutable memory with
+// the session, so the caller may encode them after releasing its lock.
+func (m *Session) Checkpoint() []Record {
+	cfg := m.cfg
+	recs := []Record{{Op: OpCreate, Session: m.id, Config: &cfg, At: m.createdAt}}
+	if m.Open() != nil {
+		op := OpFinalize
+		if m.expired {
+			op = OpExpire
+		}
+		return append(recs, Record{Op: op, Session: m.id, At: m.endedAt, Counters: &Counters{
+			Issued: slices.Clone(m.issued), Counts: slices.Clone(m.bitCount), Sums: slices.Clone(m.bitSum)}})
+	}
+	var chunk *Entries
+	idBytes, left := 0, len(m.clients)
+	for c, e := range m.clients {
+		if chunk == nil || len(chunk.Clients) == clientChunk || idBytes >= chunkIDBytes {
+			n := min(left, clientChunk)
+			chunk = &Entries{Clients: make([]string, 0, n), Indexes: make([]int, 0, n), States: make([]uint8, 0, n)}
+			recs = append(recs, Record{Op: OpClients, Session: m.id, Entries: chunk})
+			idBytes = 0
+		}
+		chunk.Clients = append(chunk.Clients, c)
+		chunk.Indexes = append(chunk.Indexes, int(e.idx))
+		chunk.States = append(chunk.States, e.rep)
+		idBytes += len(c)
+		left--
+	}
+	return recs
 }
 
 func (m *Session) poolConfig() core.Config {

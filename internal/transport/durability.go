@@ -80,14 +80,14 @@ func (s *Server) logApplyLocked(sess *session, rec *machine.Record) (uint64, err
 }
 
 // apply performs one logged transition against the table. Create and
-// delete change the table itself, inside its write section; with live
-// set the record is appended there too, so WAL order and table-visible
-// order agree (the invariant Snapshot's frontier-first read relies on).
-// Every other op is the named session's Apply under its mutex — the
-// replay and replication route; live handlers decide under that mutex
-// first and go through logApplyLocked. A record naming a session the
-// table does not hold returns errNotFound.
-func (s *Server) apply(rec *machine.Record, live bool) (seq uint64, err error) {
+// delete change the map itself, inside its write section; on the live
+// route appendLog (Server.walAppend) logs the record there too, so WAL
+// order and table-visible order agree (the invariant Snapshot's
+// frontier-first read relies on). Every other op is the named session's
+// Apply under its mutex — the replay, replication and restore route; live
+// handlers decide under that mutex first and go through logApplyLocked. A
+// record naming a session the table does not hold returns errNotFound.
+func (t *sessionTable) apply(rec *machine.Record, appendLog func(*machine.Record) (uint64, error)) (seq uint64, err error) {
 	switch rec.Op {
 	case machine.OpCreate:
 		if rec.Config == nil {
@@ -97,30 +97,30 @@ func (s *Server) apply(rec *machine.Record, live bool) (seq uint64, err error) {
 		if err != nil {
 			return 0, err
 		}
-		s.table.mu.Lock()
-		defer s.table.mu.Unlock()
-		if live {
-			if seq, err = s.walAppend(rec); err != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if appendLog != nil {
+			if seq, err = appendLog(rec); err != nil {
 				return 0, err
 			}
 		}
-		s.table.sessions[rec.Session] = &session{Session: m}
+		t.sessions[rec.Session] = &session{Session: m}
 		return seq, nil
 	case machine.OpDelete:
-		s.table.mu.Lock()
-		defer s.table.mu.Unlock()
-		if _, ok := s.table.sessions[rec.Session]; !ok {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if _, ok := t.sessions[rec.Session]; !ok {
 			return 0, errNotFound
 		}
-		if live {
-			if seq, err = s.walAppend(rec); err != nil {
+		if appendLog != nil {
+			if seq, err = appendLog(rec); err != nil {
 				return 0, err
 			}
 		}
-		delete(s.table.sessions, rec.Session)
+		delete(t.sessions, rec.Session)
 		return seq, nil
 	}
-	sess := s.table.get(rec.Session)
+	sess := t.get(rec.Session)
 	if sess == nil {
 		return 0, errNotFound
 	}
@@ -129,11 +129,11 @@ func (s *Server) apply(rec *machine.Record, live bool) (seq uint64, err error) {
 	return 0, sess.Apply(rec)
 }
 
-// decodeRecord parses the payload of WAL record seq.
+// decodeRecord parses the payload of record seq of a log or checkpoint.
 func decodeRecord(seq uint64, payload []byte) (*machine.Record, error) {
 	rec := new(machine.Record)
 	if err := json.Unmarshal(payload, rec); err != nil {
-		return nil, fmt.Errorf("transport: decoding wal record %d: %w", seq, err)
+		return nil, fmt.Errorf("transport: decoding record %d: %w", seq, err)
 	}
 	return rec, nil
 }
@@ -141,7 +141,7 @@ func decodeRecord(seq uint64, payload []byte) (*machine.Record, error) {
 // replayLocked re-applies one record read back from a log (ReplayWAL) or
 // shipped by the primary (ApplyReplicated); the caller holds s.mu.
 func (s *Server) replayLocked(seq uint64, rec *machine.Record) error {
-	_, err := s.apply(rec, false)
+	_, err := s.table.apply(rec, nil)
 	if rec.Op == machine.OpDelete && errors.Is(err, errNotFound) {
 		// The one legal reference to an absent session: the restored
 		// snapshot was cut after this delete took effect.

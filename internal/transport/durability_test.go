@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -310,7 +311,10 @@ func TestReplayOverSnapshotCutAfterEnd(t *testing.T) {
 // TestEndedSessionReleasesClients pins what ending a session gives back:
 // the client entries leave the heap at finalize and at expiry — all of
 // what the cohort cost, about 63 B a client at this size — and neither
-// the session nor its image grows with the cohort any more.
+// the session nor its checkpoint grows with the cohort any more. While
+// the session is open its checkpoint is its client entries, and must be
+// no larger than the 52.3 B a client the JSON image it replaced took for
+// this cohort: 12-character ids, 90 % of them reported.
 func TestEndedSessionReleasesClients(t *testing.T) {
 	clients := 300000
 	if testing.Short() {
@@ -337,13 +341,17 @@ func TestEndedSessionReleasesClients(t *testing.T) {
 		}
 		empty := heap()
 		reps := make([]wire.Report, 0, 256)
+		reported := 0
 		for i := 0; i < clients; i++ {
 			client := fmt.Sprintf("dev-%08x", i)
 			task, err := s.AssignTask(ctx, id, client)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reps = append(reps, wire.Report{ClientID: client, Bit: task.Bit, Value: uint64(i & 1)})
+			if i%10 != 9 {
+				reps = append(reps, wire.Report{ClientID: client, Bit: task.Bit, Value: uint64(i & 1)})
+				reported++
+			}
 			if len(reps) == cap(reps) || i == clients-1 {
 				if _, err := s.SubmitReportBatch(ctx, id, reps); err != nil {
 					t.Fatal(err)
@@ -352,10 +360,13 @@ func TestEndedSessionReleasesClients(t *testing.T) {
 			}
 		}
 		open := heap()
+		if how == "finalize" {
+			checkOpenCheckpoint(t, s, clients)
+		}
 		endSession(t, s, id, how, &clock)
 		ended := heap()
-		if res, err := s.Result(id); err != nil || res.Reports != clients {
-			t.Fatalf("%s: result %+v, err %v: want %d reports", how, res, err, clients)
+		if res, err := s.Result(id); err != nil || res.Reports != reported {
+			t.Fatalf("%s: result %+v, err %v: want %d reports", how, res, err, reported)
 		}
 		// An entry is a 16-byte string header, a 12-byte id and an 8-byte
 		// value before any map overhead: a cohort that cost less was not
@@ -367,16 +378,47 @@ func TestEndedSessionReleasesClients(t *testing.T) {
 			t.Errorf("%s: heap is %d bytes with the session empty, %d open with %d clients and %d ended: %d bytes outlive the session",
 				how, empty, open, clients, ended, kept)
 		}
-		image, err := json.Marshal(s.Snapshot().Sessions[0])
+		image, err := s.Snapshot().MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(image) >= 4096 {
-			t.Errorf("%s: image of the ended %d-client session is %d bytes, want under 4 KiB", how, clients, len(image))
+			t.Errorf("%s: checkpoint of the ended %d-client session is %d bytes, want under 4 KiB", how, clients, len(image))
 		}
-		t.Logf("%s: %d clients cost %.1f B each while open; %d bytes remain after the end; image %d bytes",
+		t.Logf("%s: %d clients cost %.1f B each while open; %d bytes remain after the end; checkpoint %d bytes",
 			how, clients, float64(open-empty)/float64(clients), ended-empty, len(image))
 	}
+}
+
+// checkOpenCheckpoint cuts, encodes, decodes and restores the checkpoint
+// of s, whose one open session has clients entries, and holds its size to
+// the parent's JSON image's.
+func checkOpenCheckpoint(t *testing.T, s *Server, clients int) {
+	t.Helper()
+	t0 := time.Now()
+	data, err := s.Snapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1 := time.Now()
+	snap, err := ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := NewServer(2)
+	if err := back.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	t2 := time.Now()
+	if got, want := stateFingerprint(t, back), stateFingerprint(t, s); got != want {
+		t.Fatalf("restored open session differs:\n got %s\nwant %s", got, want)
+	}
+	perClient := float64(len(data)) / float64(clients)
+	if perClient > 52.3 {
+		t.Errorf("open-session checkpoint is %.1f B a client, larger than the 52.3 B JSON image it replaces", perClient)
+	}
+	t.Logf("open checkpoint: %.1f B/client, cut+encode %.0f ns/client, decode+restore %.0f ns/client",
+		perClient, float64(t1.Sub(t0).Nanoseconds())/float64(clients), float64(t2.Sub(t1).Nanoseconds())/float64(clients))
 }
 
 // TestRestoreRejectsSnapshotNewerThanWALHead: a snapshot claiming

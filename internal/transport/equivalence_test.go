@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -247,14 +249,58 @@ func (h *history) run(steps int, mid func()) {
 	}
 }
 
-// canonical returns the server's snapshot with the parts that may
-// differ between equivalent servers normalized: the cut time, and the
-// order the table's map yields sessions in.
+// canonical returns the server's snapshot with the parts that may differ
+// between equivalent servers normalized: the cut time, the order the
+// table's map yields sessions in, and how an open session's client
+// entries fall into chunks and in what order — they are merged into one
+// clients record sorted by client.
 func canonical(s *Server) *Snapshot {
 	snap := s.Snapshot()
 	snap.SavedAt = time.Time{}
-	sort.Slice(snap.Sessions, func(i, j int) bool { return snap.Sessions[i].ID < snap.Sessions[j].ID })
+	recs := snap.Records
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Session < recs[j].Session })
+	snap.Records = recs[:0]
+	for _, rec := range recs {
+		if last := len(snap.Records) - 1; rec.Op == machine.OpClients && snap.Records[last].Op == machine.OpClients {
+			merged := snap.Records[last].Entries
+			merged.Clients = append(merged.Clients, rec.Entries.Clients...)
+			merged.Indexes = append(merged.Indexes, rec.Entries.Indexes...)
+			merged.States = append(merged.States, rec.Entries.States...)
+			continue
+		}
+		snap.Records = append(snap.Records, rec)
+	}
+	for _, rec := range snap.Records {
+		e := rec.Entries
+		if e == nil {
+			continue
+		}
+		order := make([]int, len(e.Clients))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool { return e.Clients[order[a]] < e.Clients[order[b]] })
+		clients, indexes, states := slices.Clone(e.Clients), slices.Clone(e.Indexes), slices.Clone(e.States)
+		for i, j := range order {
+			e.Clients[i], e.Indexes[i], e.States[i] = clients[j], indexes[j], states[j]
+		}
+	}
 	return snap
+}
+
+// viaCheckpoint sends snap through its encoding, as a file or the
+// replication snapshot route carries it.
+func viaCheckpoint(t *testing.T, snap *Snapshot) *Snapshot {
+	t.Helper()
+	data, err := snap.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
 }
 
 // TestApplyEquivalence is the property the single Apply exists for: the
@@ -297,7 +343,7 @@ func TestApplyEquivalence(t *testing.T) {
 		if err := w.Replay(standby.ApplyReplicated); err != nil {
 			t.Fatalf("seed %d: replication: %v", seed, err)
 		}
-		if err := fresh("restore").Restore(h.s.Snapshot()); err != nil {
+		if err := fresh("restore").Restore(viaCheckpoint(t, h.s.Snapshot())); err != nil {
 			t.Fatalf("seed %d: restore: %v", seed, err)
 		}
 		// A snapshot cut under traffic may hold transitions past the WAL
@@ -321,7 +367,7 @@ func TestApplyEquivalence(t *testing.T) {
 		mid.WALSeq = early
 		tail := fresh("snapshot+tail")
 		tail.AttachWAL(w)
-		if err := tail.Restore(mid); err != nil {
+		if err := tail.Restore(viaCheckpoint(t, mid)); err != nil {
 			t.Fatalf("seed %d: restoring the mid-history snapshot: %v", seed, err)
 		}
 		if _, err := tail.ReplayWAL(); err != nil {
@@ -330,10 +376,11 @@ func TestApplyEquivalence(t *testing.T) {
 
 		want := canonical(h.s)
 		// An ended session is its sums by every route: the live server's
-		// holds no client entries, and each rebuild must equal it.
-		for _, st := range want.Sessions {
-			if (st.Done || st.Expired) && len(st.Assigned)+len(st.Reported) != 0 {
-				t.Fatalf("seed %d: ended session %s still holds client entries: %+v", seed, st.ID, st)
+		// checkpoint holds its create record and its end record with the
+		// counters, and each rebuild must equal it.
+		for i, rec := range want.Records {
+			if (rec.Op == machine.OpFinalize || rec.Op == machine.OpExpire) && (rec.Counters == nil || want.Records[i-1].Op != machine.OpCreate) {
+				t.Fatalf("seed %d: ended session %s is not its create and end records: %+v", seed, rec.Session, want.Records[i-1:i+1])
 			}
 		}
 		wantJSON, err := json.Marshal(want)
@@ -342,8 +389,6 @@ func TestApplyEquivalence(t *testing.T) {
 		}
 		for name, s := range rebuilt {
 			got := canonical(s)
-			// DeepEqual for the structure, the encoding for the floats of
-			// finalized results (it tells -0 from 0 where == does not).
 			gotJSON, err := json.Marshal(got)
 			if err != nil {
 				t.Fatal(err)
@@ -351,11 +396,19 @@ func TestApplyEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(got, want) || string(gotJSON) != string(wantJSON) {
 				t.Fatalf("seed %d: state rebuilt by %s differs from the live server's:\n got %s\nwant %s", seed, name, gotJSON, wantJSON)
 			}
-			for _, st := range want.Sessions {
-				a, _ := h.s.Result(st.ID)
-				b, err := s.Result(st.ID)
-				if err != nil || !reflect.DeepEqual(a, b) {
-					t.Fatalf("seed %d: %s serves result %+v (err %v) for %s, live serves %+v", seed, name, b, err, st.ID, a)
+			// The finalized results are recomputed, not stored: compare them
+			// through their encoding too, which tells -0 from 0 where ==
+			// does not.
+			for _, rec := range want.Records {
+				if rec.Op != machine.OpCreate {
+					continue
+				}
+				a, _ := h.s.Result(rec.Session)
+				b, err := s.Result(rec.Session)
+				aJSON, _ := json.Marshal(a)
+				bJSON, _ := json.Marshal(b)
+				if err != nil || !reflect.DeepEqual(a, b) || string(aJSON) != string(bJSON) {
+					t.Fatalf("seed %d: %s serves result %s (err %v) for %s, live serves %s", seed, name, bJSON, err, rec.Session, aJSON)
 				}
 			}
 		}

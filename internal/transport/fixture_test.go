@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -18,10 +17,10 @@ import (
 
 // testdata/parent was written by the commit before the session state
 // machine was extracted (9e1cb7d): driveFixture's history run on that
-// code, with snapshot.json cut where the history says, wal/ the whole
-// log, and want.json what that server then served. The formats are
-// frozen, so this code must read those files to the same answers and,
-// run through the same history, write the same bytes.
+// code, with snapshot.json (that build's JSON image) cut where the
+// history says, wal/ the whole log, and want.json what that server then
+// served. This code must read those files to the same answers and, run
+// through the same history, write the same log bytes.
 const fixtureDir = "testdata/parent"
 
 type fixtureWant struct {
@@ -168,33 +167,11 @@ func driveFixture(t *testing.T, s *Server, now *time.Time, snapshotPath string) 
 	s.Sweep() // gone ages past Retention and is deleted
 }
 
-// sessionsByID re-encodes a snapshot file with its sessions sorted by
-// id — the one thing about the bytes that is not fixed (the table is a
-// map). Decoding into generic values keeps every field either side
-// wrote, so a renamed, added or dropped key still shows.
-func sessionsByID(t *testing.T, data []byte) []byte {
-	t.Helper()
-	var snap map[string]any
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	if err := dec.Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	sessions := snap["sessions"].([]any)
-	sort.Slice(sessions, func(i, j int) bool {
-		return sessions[i].(map[string]any)["id"].(string) < sessions[j].(map[string]any)["id"].(string)
-	})
-	out, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestFormatsFrozen runs the fixture's history on this code and demands
-// the parent's bytes: every WAL payload in order (the log is one segment
-// of length-and-CRC framed payloads, so equal files mean equal payloads)
-// and the snapshot JSON.
+// TestFormatsFrozen runs the fixture's history on this code. The log is
+// a format: every WAL payload must be the parent's, in order (the log is
+// one segment of length-and-CRC framed payloads, so equal files mean
+// equal payloads). The checkpoint cut where the history says, plus the
+// log's tail, must recover to what the parent served.
 func TestFormatsFrozen(t *testing.T) {
 	dir := t.TempDir()
 	w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncNever})
@@ -206,25 +183,41 @@ func TestFormatsFrozen(t *testing.T) {
 	s.Now = func() time.Time { return now }
 	s.Retention = time.Minute
 	s.AttachWAL(w)
-	driveFixture(t, s, &now, filepath.Join(dir, "snapshot.json"))
-	checkFixtureState(t, s, readFixtureWant(t))
+	checkpoint := filepath.Join(dir, "snapshot.json")
+	driveFixture(t, s, &now, checkpoint)
+	want := readFixtureWant(t)
+	checkFixtureState(t, s, want)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"snapshot.json", "wal/00000000000000000001.wal"} {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join(fixtureDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == "snapshot.json" {
-			got, want = sessionsByID(t, got), sessionsByID(t, want)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs from the parent commit's:\n got %q\nwant %q", name, got, want)
-		}
+	const seg = "wal/00000000000000000001.wal"
+	got, err := os.ReadFile(filepath.Join(dir, seg))
+	if err != nil {
+		t.Fatal(err)
 	}
+	parent, err := os.ReadFile(filepath.Join(fixtureDir, seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, parent) {
+		t.Errorf("%s differs from the parent commit's:\n got %q\nwant %q", seg, got, parent)
+	}
+
+	w, err = wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	recovered := NewServer(99)
+	recovered.AttachWAL(w)
+	if err := recovered.LoadSnapshot(checkpoint); err != nil {
+		t.Fatalf("restoring the checkpoint: %v", err)
+	}
+	if seq := recovered.WALSeq(); seq == 0 || seq >= want.WALSeq {
+		t.Fatalf("checkpoint covers through %d of %d records: not a mid-history cut", seq, want.WALSeq)
+	}
+	if _, err := recovered.ReplayWAL(); err != nil {
+		t.Fatalf("replaying the tail over the checkpoint: %v", err)
+	}
+	checkFixtureState(t, recovered, want)
 }

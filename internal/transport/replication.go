@@ -83,14 +83,14 @@ func appendReplFrame(dst []byte, seq uint64, payload []byte) []byte {
 }
 
 // DecodeReplFrames streams the framed records of a replication response
-// body to fn, verifying each record's length and checksum. A truncated
-// or corrupt stream is an error — the follower drops the batch and
-// re-pulls rather than applying bytes it cannot vouch for.
+// body or a checkpoint to fn, verifying each record's length and
+// checksum. A truncated or corrupt stream is an error — the follower drops
+// the batch and re-pulls, and a checkpoint fails to load, rather than
+// apply bytes it cannot vouch for.
 func DecodeReplFrames(r io.Reader, fn func(seq uint64, payload []byte) error) error {
-	br := r
 	var hdr [replFrameHeader]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
@@ -102,8 +102,14 @@ func DecodeReplFrames(r io.Reader, fn func(seq uint64, payload []byte) error) er
 		if n == 0 || n > wal.MaxRecordBytes {
 			return fmt.Errorf("transport: replication frame %d has unframeable length %d", seq, n)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		// Read rather than allocate the declared length up front, so a
+		// damaged length costs what the stream holds, not up to
+		// wal.MaxRecordBytes.
+		payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+		if err == nil && len(payload) < int(n) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return fmt.Errorf("transport: truncated replication frame %d: %w", seq, err)
 		}
 		if crc32.Checksum(payload, replCRCTable) != crc {
@@ -371,18 +377,27 @@ func intParam(v string, def, min, max int) int {
 	return n
 }
 
-// handleReplSnapshot serves a consistent snapshot of the whole session
-// table for follower bootstrap: a standby whose resume point was
-// compacted away (or that is brand new) restores this, aligns its WAL
-// at the snapshot's coverage, and tails the log from there.
+// handleReplSnapshot serves a snapshot of the whole session table as a
+// checkpoint, for follower bootstrap: a standby whose resume point was
+// compacted away (or that is brand new) reads it with ReadSnapshot,
+// restores it, aligns its WAL at the snapshot's coverage, and tails the
+// log from there.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.roleValue() != RolePrimary {
 		s.writeNotPrimary(w)
 		return
 	}
-	snap := s.Snapshot()
+	data, err := s.Snapshot().MarshalBinary()
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, wire.CodeInternal, err)
+		return
+	}
 	s.replHeaders(w)
-	s.writeJSON(w, http.StatusOK, snap)
+	w.Header().Set("Content-Type", ReplContentType)
+	if _, err := w.Write(data); err != nil {
+		// The follower hung up; it retries the bootstrap.
+		s.logger().Debug("transport: writing snapshot failed", "error", err)
+	}
 }
 
 // handleReplStatus reports role/epoch/log position; served by every
@@ -493,12 +508,12 @@ func (s *Server) CommitReplicated() error {
 	return s.walCommit(seq)
 }
 
-// BootstrapReplica initializes an empty standby from a primary
-// snapshot: the local WAL is aligned so mirrored appends continue at
-// exactly snap.WALSeq+1, then the session table is restored. It refuses
-// to run over existing sessions or log records — re-seeding live state
-// is how divergent histories are born; wipe the data dir and start
-// over instead.
+// BootstrapReplica initializes an empty standby from a primary snapshot,
+// as ReadSnapshot decoded it off the snapshot route: the local WAL is
+// aligned so mirrored appends continue at exactly snap.WALSeq+1, then the
+// session table is restored. It refuses to run over existing sessions or
+// log records — re-seeding live state is how divergent histories are
+// born; wipe the data dir and start over instead.
 func (s *Server) BootstrapReplica(snap *Snapshot) error {
 	s.mu.Lock()
 	if n := s.table.size(); n > 0 || s.walSeq.Load() != 0 {

@@ -284,7 +284,7 @@ func TestApplyReplicatedMirrorsPrimary(t *testing.T) {
 func TestBootstrapReplicaAlignsAndResumes(t *testing.T) {
 	a, aw := replServer(t, t.TempDir(), 1)
 	seedSession(t, a, 2)
-	snap := a.Snapshot()
+	snap := viaCheckpoint(t, a.Snapshot())
 
 	b, bw := replServer(t, t.TempDir(), 2)
 	b.SetRole(RoleStandby)
@@ -323,8 +323,8 @@ func TestBootstrapReplicaAlignsAndResumes(t *testing.T) {
 }
 
 // TestBootstrapReplicaFromEndedImage: a standby seeded after the round
-// finalized receives the round as its sums — no client entry crosses the
-// wire — and, promoted, serves the primary's result and answers the
+// finalized receives the round as its create record and its sums — no
+// client entry crosses the wire — and, promoted, serves the primary's result and answers the
 // round's clients as the primary would: finalized.
 func TestBootstrapReplicaFromEndedImage(t *testing.T) {
 	ctx := context.Background()
@@ -338,22 +338,29 @@ func TestBootstrapReplicaFromEndedImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Through JSON, as /v1/replication/snapshot ships it.
-	body, err := json.Marshal(a.Snapshot())
+	// Off the route a follower bootstraps from.
+	ts := httptest.NewServer(a)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/replication/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(body, []byte(`"c0"`)) {
-		t.Fatalf("bootstrap image of a finalized round names a client: %s", body)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot route: status %d, err %v", resp.StatusCode, err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
+	if bytes.Contains(body, []byte(`"c0"`)) || len(body) >= 4096 {
+		t.Fatalf("bootstrap checkpoint of a finalized round is %d bytes or names a client: %q", len(body), body)
+	}
+	snap, err := ReadSnapshot(bytes.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	b, _ := replServer(t, t.TempDir(), 2)
 	b.SetRole(RoleStandby)
-	if err := b.BootstrapReplica(&snap); err != nil {
+	if err := b.BootstrapReplica(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Promote(2); err != nil {

@@ -2,19 +2,15 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/frand"
 	"repro/internal/transport/wire"
 )
@@ -439,145 +435,6 @@ func TestLoadSnapshotMissingFileIsFirstBoot(t *testing.T) {
 	s := NewServer(1)
 	if err := s.LoadSnapshot(t.TempDir() + "/nope.json"); err != nil {
 		t.Fatalf("missing snapshot file: %v", err)
-	}
-}
-
-// oldShapeEndedImage is a finalized session as the commit before ended
-// sessions dropped their client entries wrote it (copied from that
-// build's snapshot of clients a, b, d reported and c assigned only).
-const oldShapeEndedImage = `{"id":"s0fc710c4","config":{"feature":"f","bits":2,"gamma":1,"epsilon":1},` +
-	`"probs":[0.3333333333333333,0.6666666666666666],"issued":[1,3],` +
-	`"assigned":{"a":1,"b":0,"c":1,"d":1},"reported":{"a":1,"b":1,"d":1},` +
-	`"bit_counts":[1,2],"bit_sums":[1,2],"deadline":"0001-01-01T00:00:00Z","done":true,"ended_at":"2026-01-02T03:04:05Z",` +
-	`"result":{"Estimate":4.745930120607979,"BitMeans":[1.5819767068693265,1.5819767068693265],` +
-	`"Counts":[1,2],"Sums":[1,2],"Squashed":[false,false],"Reports":3}}`
-
-// TestRestoreRejectsCorruptSessions mutates a good snapshot one way per
-// row: Restore must refuse each (and restore nothing) rather than boot
-// on counters that disagree with the client entries they summarize — or,
-// for an ended session, which has no entries left, with each other and
-// with the stored result.
-func TestRestoreRejectsCorruptSessions(t *testing.T) {
-	ctx := context.Background()
-	clock := time.Unix(1700000000, 0)
-	src := NewServer(1)
-	src.Now = func() time.Time { return clock }
-	var reporter string
-	// Each base image is one session with clients a, b reported and c
-	// assigned only.
-	image := func(cfg wire.SessionConfig, how string) []byte {
-		t.Helper()
-		id, err := src.CreateSession(ctx, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []string{"a", "b", "c"} {
-			task, err := src.AssignTask(ctx, id, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c != "c" {
-				reporter = c
-				if _, err := src.SubmitReport(ctx, id, wire.Report{ClientID: c, Bit: task.Bit, Value: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if how != "" {
-			endSession(t, src, id, how, &clock)
-		}
-		for _, st := range src.Snapshot().Sessions {
-			if st.ID == id {
-				data, err := json.Marshal(&Snapshot{Sessions: []SessionState{st}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return data
-			}
-		}
-		t.Fatalf("session %s is not in the snapshot", id)
-		return nil
-	}
-	bits := wire.SessionConfig{Feature: "f", Bits: 2, Gamma: 1}
-	open := image(bits, "")
-	done := image(bits, "finalize")
-	doneThr := image(wire.SessionConfig{Feature: "t", Bits: 4, Thresholds: []uint64{3, 9}}, "finalize")
-	expired := image(wire.SessionConfig{Feature: "x", Bits: 2, Gamma: 1, TTLSeconds: 1}, "expire")
-	for _, tc := range []struct {
-		name   string
-		base   []byte
-		mutate func(st *SessionState) // nil: the image must restore
-	}{
-		{"intact", open, nil},
-		{"empty id", open, func(st *SessionState) { st.ID = "" }},
-		{"issued counts for another bit depth", open, func(st *SessionState) { st.Issued = st.Issued[:1] }},
-		{"pre-accumulator format: no bit_counts", open, func(st *SessionState) { st.BitCounts, st.BitSums = nil, nil }},
-		{"bit_counts do not add up to the reported clients", open, func(st *SessionState) { st.BitCounts[st.Assigned[reporter]]++ }},
-		{"bit_sums do not add up to the reported values", open, func(st *SessionState) { st.BitSums[st.Assigned[reporter]]-- }},
-		{"reported client without an assignment", open, func(st *SessionState) { st.Reported["ghost"] = 1 }},
-		{"reported value is not a bit", open, func(st *SessionState) { st.Reported[reporter] = 2 }},
-		{"assigned index out of range", open, func(st *SessionState) { st.Assigned["c"] = 2 }},
-		{"issued does not add up to the assigned clients", open, func(st *SessionState) { st.Issued[0]++ }},
-		{"config no session could have been created with", open, func(st *SessionState) { st.Config.Bits = 0 }},
-		{"open session holding a result", open, func(st *SessionState) { st.Result = &core.Result{} }},
-
-		{"intact finalized", done, nil},
-		{"intact finalized thresholds", doneThr, nil},
-		{"intact expired", expired, nil},
-		{"ended: sum above count", expired, func(st *SessionState) { st.BitSums[1] = st.BitCounts[1] + 1 }},
-		{"ended: count above issued", expired, func(st *SessionState) { st.BitCounts[0] = int64(st.Issued[0]) + 1 }},
-		{"ended: negative sum", expired, func(st *SessionState) { st.BitSums[0] = -1 }},
-		{"ended: negative count and sum", expired, func(st *SessionState) { st.BitCounts[0], st.BitSums[0] = -1, -1 }},
-		{"ended: negative issued, count and sum", expired, func(st *SessionState) { st.Issued[0], st.BitCounts[0], st.BitSums[0] = -2, -2, -2 }},
-		{"ended: issued for another bit depth", done, func(st *SessionState) { st.Issued = append(st.Issued, 0) }},
-		{"ended: sums for another bit depth", done, func(st *SessionState) { st.BitSums = st.BitSums[:1] }},
-		{"ended: estimate is not the aggregate of the sums", done, func(st *SessionState) { st.Result.Estimate += 0.5 }},
-		{"ended: estimate off in the last bit", done, func(st *SessionState) { st.Result.Estimate = math.Nextafter(st.Result.Estimate, 0) }},
-		{"ended: bit mean is not the aggregate of the sums", done, func(st *SessionState) { st.Result.BitMeans[0] = 0.25 }},
-		{"ended: result counts are not the session's", done, func(st *SessionState) { st.Result.Counts[0]++ }},
-		{"ended: sums moved under a stale result", done, func(st *SessionState) { st.BitSums[1]-- }},
-		{"ended: finalized without a result", done, func(st *SessionState) { st.Result = nil }},
-		{"ended: tail is not the aggregate of the sums", doneThr, func(st *SessionState) { st.Tail[0] /= 2 }},
-		{"ended: finalized thresholds without a tail", doneThr, func(st *SessionState) { st.Tail = nil }},
-		{"ended: expired session holding a result", expired, func(st *SessionState) { st.Result = &core.Result{} }},
-		{"ended: both finalized and expired", done, func(st *SessionState) { st.Expired = true }},
-
-		// The shape ended sessions had before they dropped their client
-		// entries: checked against the entries, as an open image is.
-		{"intact old-shape finalized", []byte(`{"sessions":[` + oldShapeEndedImage + `]}`), nil},
-		{"old shape: counts do not add up to the entries", []byte(`{"sessions":[` + oldShapeEndedImage + `]}`),
-			func(st *SessionState) { st.BitCounts[0], st.Issued[0] = 2, 2 }},
-	} {
-		var snap Snapshot
-		if err := json.Unmarshal(tc.base, &snap); err != nil {
-			t.Fatal(err)
-		}
-		s := NewServer(2)
-		if tc.mutate == nil {
-			if err := s.Restore(&snap); err != nil || len(s.Sessions()) != 1 {
-				t.Fatalf("%s: err %v, %d sessions", tc.name, err, len(s.Sessions()))
-			}
-			// A restored ended session holds no client entries, whichever
-			// shape it came in, and serves the stored result.
-			in, out := snap.Sessions[0], s.Snapshot().Sessions[0]
-			if in.Done || in.Expired {
-				if len(out.Assigned)+len(out.Reported) != 0 {
-					t.Errorf("%s: restored ended session kept entries: %+v", tc.name, out)
-				}
-				in.Assigned, in.Reported = out.Assigned, out.Reported
-			}
-			if !reflect.DeepEqual(in, out) {
-				t.Errorf("%s: restored as\n%+v\nfrom\n%+v", tc.name, out, in)
-			}
-			continue
-		}
-		tc.mutate(&snap.Sessions[0])
-		if err := s.Restore(&snap); err == nil {
-			t.Errorf("%s: restored", tc.name)
-		}
-		if n := len(s.Sessions()); n != 0 {
-			t.Errorf("%s: %d sessions in the table after a refused restore", tc.name, n)
-		}
 	}
 }
 

@@ -16,8 +16,10 @@
 // The layer is built for flaky fleets: clients retry with backoff
 // (RetryPolicy), the server acks retransmitted reports instead of
 // rejecting them, sessions carry TTL deadlines that auto-finalize or
-// expire them, and the whole session table snapshots to JSON so a daemon
-// restart does not lose an in-flight aggregation.
+// expire them, and the whole session table snapshots to a checkpoint — a
+// framed stream of the log's own records, rebuilt by the same Apply that
+// replays the log — so a daemon restart does not lose an in-flight
+// aggregation.
 //
 // Durability: with a write-ahead log attached (AttachWAL), every acked
 // state transition — session create, task assignment, accepted report,
@@ -258,8 +260,8 @@ var jsonBufPool = sync.Pool{
 }
 
 // jsonBufPoolMaxCap bounds what goes back in the pool: an occasional
-// huge body (a session-table snapshot can run to megabytes) must not
-// pin its buffer in the pool forever.
+// huge body (a listing of many sessions) must not pin its buffer in the
+// pool forever.
 const jsonBufPoolMaxCap = 64 << 10
 
 // writeJSON encodes v through a pooled buffer, so encoding failures are
@@ -329,9 +331,9 @@ func (s *Server) CreateSession(ctx context.Context, cfg wire.SessionConfig) (str
 	nextID := s.nextID
 	id := fmt.Sprintf("s%08x", s.rng.Uint64n(1<<32)^uint64(nextID))
 	s.mu.Unlock()
-	seq, err := s.apply(&machine.Record{
+	seq, err := s.table.apply(&machine.Record{
 		Op: machine.OpCreate, Session: id, NextID: nextID, Config: &cfg, At: s.now(),
-	}, true)
+	}, s.walAppend)
 	if err != nil {
 		return "", err
 	}
@@ -516,7 +518,7 @@ func (s *Server) retireExpiredSession(sess *session, now time.Time) bool {
 		return false
 	}
 	id := sess.ID()
-	if _, err := s.apply(&machine.Record{Op: machine.OpDelete, Session: id, At: now}, true); err != nil {
+	if _, err := s.table.apply(&machine.Record{Op: machine.OpDelete, Session: id, At: now}, s.walAppend); err != nil {
 		// errNotFound: a concurrent sweep already retired it. Anything
 		// else: not logged ⇒ not applied; the next sweep retries.
 		if !errors.Is(err, errNotFound) {

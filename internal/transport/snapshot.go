@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -10,12 +12,22 @@ import (
 	machine "repro/internal/session"
 )
 
-// Snapshot is a serializable image of the server's whole session table,
-// written by a draining daemon and restored on the next boot so in-flight
+// Snapshot is the server's session table as the records that rebuild it
+// (per session, what session.Checkpoint returns), written by a draining
+// daemon or the compactor and restored on the next boot, so in-flight
 // aggregations survive a restart. The RNG stream is not captured: task
-// assignment is deficit-driven off the restored issued counts, so the
-// low-discrepancy property holds across the restart; only the (secret-free)
-// session-id stream reseeds.
+// assignment is deficit-driven off the rebuilt issued counts, so the
+// low-discrepancy property holds across the restart; only the
+// (secret-free) session-id stream reseeds.
+//
+// On disk and on the replication snapshot route it travels as a
+// checkpoint: the replication frame stream (appendReplFrame) of JSON
+// payloads, frames numbered 0, 1, 2, … in their sequence field — the
+// header (this struct's own fields), one frame per record, and an end
+// frame. The numbering catches a dropped, repeated or reordered frame,
+// the end frame a checkpoint cut short at a frame boundary, and frame 0's
+// first byte, 0, tells a checkpoint from the JSON image older builds
+// wrote, whose first byte is '{'.
 type Snapshot struct {
 	// SavedAt records when the snapshot was cut.
 	SavedAt time.Time `json:"saved_at"`
@@ -25,13 +37,12 @@ type Snapshot struct {
 	// recovery replays only records after it, and compaction reclaims
 	// segments at or below it. Zero on servers running without a WAL.
 	WALSeq uint64 `json:"wal_seq,omitempty"`
-	// Sessions holds every session's image: an open one with its client
-	// entries, an ended one as its per-bit sums and result only.
-	Sessions []SessionState `json:"sessions"`
+	// Records rebuild the sessions, in order, through session.Apply.
+	Records []machine.Record `json:"-"`
 }
 
-// SessionState is one session's serializable state.
-type SessionState = machine.State
+// opCheckpointEnd is the op of a checkpoint's end frame.
+const opCheckpointEnd = "checkpoint_end"
 
 // Snapshot captures the current session table.
 //
@@ -54,30 +65,31 @@ func (s *Server) Snapshot() *Snapshot {
 	snap := &Snapshot{SavedAt: s.now(), NextID: nextID, WALSeq: w0}
 	for _, sess := range s.table.all() {
 		sess.mu.Lock()
-		snap.Sessions = append(snap.Sessions, sess.State())
+		recs := sess.Checkpoint()
 		sess.mu.Unlock()
+		snap.Records = append(snap.Records, recs...)
 	}
 	return snap
 }
 
-// Restore replaces the server's session table with the snapshot's,
-// rebuilding each session from its image (session.FromState: derived
-// state from the config; an open session's counters checked against its
-// client entries, an ended one's against each other and its result).
-// Sessions already known to the server under the same id are overwritten.
+// Restore rebuilds the snapshot's sessions by applying its records, in
+// order, to an empty table through the same apply → session.Apply path
+// replay and replication use, so Apply's contradiction errors are the
+// whole validation; a record that fails refuses the snapshot and restores
+// nothing. The rebuilt sessions then replace any the server holds under
+// the same ids.
 //
 // With a WAL attached (AttachWAL before Restore), a snapshot claiming to
 // cover sequences past the WAL head is rejected: it was cut against a
 // log that no longer exists, and replaying the present log under it
 // would silently diverge.
 func (s *Server) Restore(snap *Snapshot) error {
-	restored := make([]*session, 0, len(snap.Sessions))
-	for _, st := range snap.Sessions {
-		m, err := machine.FromState(st)
-		if err != nil {
-			return fmt.Errorf("transport: snapshot %w", err)
+	rebuilt := &sessionTable{sessions: make(map[string]*session)}
+	for i := range snap.Records {
+		rec := &snap.Records[i]
+		if _, err := rebuilt.apply(rec, nil); err != nil {
+			return fmt.Errorf("transport: snapshot record %d (%s %s): %w", i, rec.Op, rec.Session, err)
 		}
-		restored = append(restored, &session{Session: m})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -88,8 +100,8 @@ func (s *Server) Restore(snap *Snapshot) error {
 		}
 	}
 	s.table.mu.Lock()
-	for _, sess := range restored {
-		s.table.sessions[sess.ID()] = sess
+	for id, sess := range rebuilt.sessions {
+		s.table.sessions[id] = sess
 	}
 	s.table.mu.Unlock()
 	if snap.NextID > s.nextID {
@@ -102,15 +114,74 @@ func (s *Server) Restore(snap *Snapshot) error {
 	return nil
 }
 
-// WriteFile writes the snapshot to path atomically AND durably: the
-// temp file is fsynced before the rename and the parent directory after
-// it. Rename alone orders nothing on power loss — without the first
-// fsync the renamed file can surface empty, and without the second the
-// rename itself can vanish.
-func (snap *Snapshot) WriteFile(path string) error {
-	data, err := json.MarshalIndent(snap, "", "  ")
+// MarshalBinary encodes the snapshot as a checkpoint, each record in the
+// WAL's own payload encoding.
+func (snap *Snapshot) MarshalBinary() ([]byte, error) {
+	frames := []any{snap}
+	for i := range snap.Records {
+		frames = append(frames, &snap.Records[i])
+	}
+	frames = append(frames, machine.Record{Op: opCheckpointEnd})
+	var out []byte
+	for i, v := range frames {
+		payload, err := json.Marshal(v)
+		if err != nil {
+			return nil, fmt.Errorf("transport: encoding checkpoint frame %d: %w", i, err)
+		}
+		out = appendReplFrame(out, uint64(i), payload)
+	}
+	return out, nil
+}
+
+// ReadSnapshot decodes a checkpoint. It is outside input — a file, or the
+// body of the replication snapshot route — so every frame is length- and
+// checksum-verified (DecodeReplFrames) and must carry the next number, and
+// the stream must close with the end frame. What the records say is for
+// Restore, that is Apply, to judge.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	snap := new(Snapshot)
+	frames, ended := uint64(0), false
+	err := DecodeReplFrames(r, func(seq uint64, payload []byte) error {
+		switch {
+		case ended:
+			return fmt.Errorf("transport: checkpoint frame %d follows its end frame", seq)
+		case seq != frames:
+			return fmt.Errorf("transport: checkpoint frame numbered %d where %d belongs", seq, frames)
+		}
+		frames++
+		if seq == 0 {
+			if err := json.Unmarshal(payload, snap); err != nil {
+				return fmt.Errorf("transport: decoding checkpoint header: %w", err)
+			}
+			return nil
+		}
+		rec, err := decodeRecord(seq, payload)
+		if err != nil {
+			return err
+		}
+		if ended = rec.Op == opCheckpointEnd; !ended {
+			snap.Records = append(snap.Records, *rec)
+		}
+		return nil
+	})
+	if err == nil && !ended {
+		err = fmt.Errorf("transport: checkpoint ends after %d frames without its end frame", frames)
+	}
 	if err != nil {
-		return fmt.Errorf("transport: encoding snapshot: %w", err)
+		return nil, err
+	}
+	return snap, nil
+}
+
+// WriteFile writes the snapshot to path as a checkpoint, atomically AND
+// durably: the temp file is fsynced before the rename and the parent
+// directory after it. Rename alone orders nothing on power loss — without
+// the first fsync the renamed file can surface empty, and without the
+// second the rename itself can vanish.
+func (snap *Snapshot) WriteFile(path string) error {
+	data, err := snap.MarshalBinary()
+	if err != nil {
+		return err
 	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".fednum-snapshot-*")
@@ -122,7 +193,7 @@ func (snap *Snapshot) WriteFile(path string) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		return cleanup(err)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -155,7 +226,9 @@ func (s *Server) SaveSnapshot(path string) error {
 }
 
 // LoadSnapshot reads a snapshot file written by SaveSnapshot and restores
-// it into the server. A missing file is not an error (first boot).
+// it into the server. A missing file is not an error (first boot). A file
+// whose first byte is '{' is the JSON image older builds wrote
+// (legacy_snapshot.go).
 func (s *Server) LoadSnapshot(path string) error {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -164,9 +237,16 @@ func (s *Server) LoadSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("transport: decoding snapshot %s: %w", path, err)
+	if len(data) > 0 && data[0] == '{' {
+		err = s.restoreLegacy(data)
+	} else {
+		var snap *Snapshot
+		if snap, err = ReadSnapshot(bytes.NewReader(data)); err == nil {
+			err = s.Restore(snap)
+		}
 	}
-	return s.Restore(&snap)
+	if err != nil {
+		return fmt.Errorf("transport: snapshot %s: %w", path, err)
+	}
+	return nil
 }

@@ -7,7 +7,7 @@ import "sync"
 // once per request, never per record, so readers share an RWMutex and
 // writers (create, retention delete, restore) hold it for a map
 // operation plus, on the live path, the buffered WAL append that must be
-// ordered with it (see Server.apply).
+// ordered with it (see apply).
 type sessionTable struct {
 	mu       sync.RWMutex
 	sessions map[string]*session

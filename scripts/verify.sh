@@ -3,8 +3,8 @@
 # ./...`) plus everything .github/workflows/ci.yml runs that tier-1 does
 # not reach and that needs no download — formatting, the repo's own
 # fedlint analyzers, the race detector over the server packages, the
-# bench/ module's self-tests and a short fuzz of the binary frame
-# reader. CI calls this script; staticcheck and govulncheck, which need
+# bench/ module's self-tests and short fuzzes of the binary frame
+# reader and the checkpoint reader. CI calls this script; staticcheck and govulncheck, which need
 # the network, stay CI-only steps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,5 +36,8 @@ go test -C bench ./...
 
 step "FuzzBatchReader, 10 s"
 go test -run '^$' -fuzz FuzzBatchReader -fuzztime 10s ./internal/transport/wire/
+
+step "FuzzCheckpoint, 10 s"
+go test -run '^$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/transport/
 
 printf '\nverify: ok\n'
