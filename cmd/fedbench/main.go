@@ -10,7 +10,6 @@
 //	fedbench -all -csv results/        # also write one CSV per figure
 //	fedbench -all -workers 8           # parallel grid execution
 //	fedbench -fig 1a -bench-json BENCH.json  # serial-vs-parallel baseline
-//	fedbench -trace                    # tracing-layer overhead on the report path
 //
 // The engine derives every grid cell's randomness from (seed, cell index),
 // so output is bit-identical at any -workers setting. -cpuprofile and
@@ -20,26 +19,18 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"runtime/pprof"
-	"testing"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/trace"
-	"repro/internal/transport"
-	"repro/internal/transport/wire"
 )
 
 type figList []string
@@ -64,15 +55,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	benchJSON := flag.String("bench-json", "", "time each figure serially and in parallel and write a JSON benchmark summary to this file")
-	traceBench := flag.Bool("trace", false, "measure tracing overhead on the report hot path (recorder off vs on) and exit")
 	flag.Parse()
-
-	if *traceBench {
-		if err := runTraceBench(os.Stdout); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -253,111 +236,6 @@ func runBench(path string, figs []string, opts experiments.Options) error {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// runTraceBench measures what the tracing layer costs on the report path.
-// Two benchmarks, each run with the recorder detached and attached:
-//
-//   - the in-memory duplicate-submit fast path, where the disabled case is
-//     the 0-alloc guarantee the tracing layer ships with (see
-//     TestTracingDisabledReportAllocs), and
-//   - a full HTTP submit-report request through the instrumented mux,
-//     which is what a deployed fednumd pays per report when -trace-buf is
-//     set.
-func runTraceBench(w io.Writer) error {
-	newSession := func(rec *trace.Recorder) (*transport.Server, string, wire.Report, error) {
-		s := transport.NewServer(1)
-		if rec != nil {
-			s.SetTracer(rec)
-		}
-		ctx := context.Background()
-		id, err := s.CreateSession(ctx, wire.SessionConfig{Feature: "bench", Bits: 4, Gamma: 1})
-		if err != nil {
-			return nil, "", wire.Report{}, err
-		}
-		task, err := s.AssignTask(ctx, id, "bench-client")
-		if err != nil {
-			return nil, "", wire.Report{}, err
-		}
-		rep := wire.Report{ClientID: "bench-client", Bit: task.Bit, Value: 1}
-		if _, err := s.SubmitReport(ctx, id, rep); err != nil {
-			return nil, "", wire.Report{}, err
-		}
-		return s, id, rep, nil
-	}
-
-	direct := func(rec *trace.Recorder) (testing.BenchmarkResult, error) {
-		s, id, rep, err := newSession(rec)
-		if err != nil {
-			return testing.BenchmarkResult{}, err
-		}
-		ctx := context.Background()
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.SubmitReport(ctx, id, rep); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}), nil
-	}
-
-	overHTTP := func(rec *trace.Recorder) (testing.BenchmarkResult, error) {
-		s, id, rep, err := newSession(rec)
-		if err != nil {
-			return testing.BenchmarkResult{}, err
-		}
-		body, err := json.Marshal(rep)
-		if err != nil {
-			return testing.BenchmarkResult{}, err
-		}
-		url := "/v1/sessions/" + id + "/reports"
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest("POST", url, bytes.NewReader(body))
-				req.Header.Set("Content-Type", "application/json")
-				rw := httptest.NewRecorder()
-				s.ServeHTTP(rw, req)
-				if rw.Code/100 != 2 {
-					b.Fatalf("submit: HTTP %d: %s", rw.Code, rw.Body.String())
-				}
-			}
-		}), nil
-	}
-
-	type lane struct {
-		name string
-		run  func(*trace.Recorder) (testing.BenchmarkResult, error)
-	}
-	// The recorder is sized so the armed runs never wrap mid-benchmark in a
-	// way that changes the cost profile (the ring overwrites in place either
-	// way; 1<<12 just keeps Dropped() readable if someone instruments this).
-	for _, l := range []lane{
-		{"duplicate submit (in-memory fast path)", direct},
-		{"HTTP submit-report request", overHTTP},
-	} {
-		off, err := l.run(nil)
-		if err != nil {
-			return fmt.Errorf("trace bench %s (off): %w", l.name, err)
-		}
-		on, err := l.run(trace.NewRecorder(1 << 12))
-		if err != nil {
-			return fmt.Errorf("trace bench %s (on): %w", l.name, err)
-		}
-		offNs := float64(off.NsPerOp())
-		onNs := float64(on.NsPerOp())
-		fmt.Fprintf(w, "%s\n", l.name)
-		fmt.Fprintf(w, "  tracing off: %8d ns/op  %4d allocs/op\n", off.NsPerOp(), off.AllocsPerOp())
-		fmt.Fprintf(w, "  tracing on:  %8d ns/op  %4d allocs/op\n", on.NsPerOp(), on.AllocsPerOp())
-		pct := 0.0
-		if offNs > 0 {
-			pct = (onNs - offNs) / offNs * 100
-		}
-		fmt.Fprintf(w, "  overhead:    %+8d ns/op (%+.1f%%)  %+d allocs/op\n\n",
-			on.NsPerOp()-off.NsPerOp(), pct, on.AllocsPerOp()-off.AllocsPerOp())
-	}
-	return nil
 }
 
 // timedRun executes one figure and reports wall seconds and the number of

@@ -15,13 +15,18 @@ import (
 	"repro/internal/wal"
 )
 
-// testdata/parent was written by the commit before the session state
-// machine was extracted (9e1cb7d): driveFixture's history run on that
-// code, with snapshot.json (that build's JSON image) cut where the
-// history says, wal/ the whole log, and want.json what that server then
-// served. This code must read those files to the same answers and, run
-// through the same history, write the same log bytes.
-const fixtureDir = "testdata/parent"
+// testdata/parent holds driveFixture's history. Its log segment
+// (wal/*.wal) and want.json, what that server then served, were written by
+// the commit before the session state machine was extracted (9e1cb7d);
+// the checkpoint beside the segment (wal/*.ckpt) was cut where the history
+// says by the commit that moved checkpoints into the log's directory. This
+// code must boot on that directory to the same answers and, run through
+// the same history, write the same log bytes.
+const (
+	fixtureDir  = "testdata/parent"
+	fixtureSeg  = "00000000000000000001.wal"
+	fixtureCkpt = "00000000000000000185.ckpt"
+)
 
 type fixtureWant struct {
 	Results  map[string]*wire.Result `json:"results"`
@@ -62,18 +67,24 @@ func checkFixtureState(t *testing.T, s *Server, want fixtureWant) {
 	}
 }
 
-// fixtureWAL opens a scratch copy of the fixture's log (Open takes over
-// the active segment, so the original stays read-only).
-func fixtureWAL(t *testing.T) *wal.WAL {
+// fixtureWAL opens a scratch copy of the fixture's log directory, with or
+// without its checkpoint (Open takes over the active segment, so the
+// original stays read-only).
+func fixtureWAL(t *testing.T, withCheckpoint bool) *wal.WAL {
 	t.Helper()
-	const seg = "00000000000000000001.wal"
-	data, err := os.ReadFile(filepath.Join(fixtureDir, "wal", seg))
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
-		t.Fatal(err)
+	files := []string{fixtureSeg}
+	if withCheckpoint {
+		files = append(files, fixtureCkpt)
+	}
+	for _, name := range files {
+		data, err := os.ReadFile(filepath.Join(fixtureDir, "wal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	w, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
@@ -83,23 +94,19 @@ func fixtureWAL(t *testing.T) *wal.WAL {
 	return w
 }
 
-// TestParentFixtureRecovers boots on the parent commit's files both ways
-// a daemon can: snapshot plus the log's tail, and the log alone.
+// TestParentFixtureRecovers boots on the fixture's directory both ways a
+// daemon can: the checkpoint plus the log's tail, and the log alone.
 func TestParentFixtureRecovers(t *testing.T) {
 	want := readFixtureWant(t)
-	for _, withSnapshot := range []bool{true, false} {
+	for _, withCheckpoint := range []bool{true, false} {
 		s := NewServer(99)
-		s.AttachWAL(fixtureWAL(t))
-		if withSnapshot {
-			if err := s.LoadSnapshot(filepath.Join(fixtureDir, "snapshot.json")); err != nil {
-				t.Fatalf("restoring the parent's snapshot: %v", err)
-			}
-			if s.WALSeq() == 0 || s.WALSeq() >= want.WALSeq {
-				t.Fatalf("snapshot covers through %d of %d records: not a mid-history cut", s.WALSeq(), want.WALSeq)
-			}
+		s.AttachWAL(fixtureWAL(t, withCheckpoint))
+		applied, err := s.ReplayWAL()
+		if err != nil {
+			t.Fatalf("booting on the fixture (checkpoint=%v): %v", withCheckpoint, err)
 		}
-		if _, err := s.ReplayWAL(); err != nil {
-			t.Fatalf("replaying the parent's log (snapshot=%v): %v", withSnapshot, err)
+		if replayed := uint64(applied); withCheckpoint && (replayed == 0 || replayed >= want.WALSeq) {
+			t.Fatalf("replayed %d of %d records over the checkpoint: not a mid-history cut", replayed, want.WALSeq)
 		}
 		checkFixtureState(t, s, want)
 	}
@@ -170,8 +177,9 @@ func driveFixture(t *testing.T, s *Server, now *time.Time, snapshotPath string) 
 // TestFormatsFrozen runs the fixture's history on this code. The log is
 // a format: every WAL payload must be the parent's, in order (the log is
 // one segment of length-and-CRC framed payloads, so equal files mean
-// equal payloads). The checkpoint cut where the history says, plus the
-// log's tail, must recover to what the parent served.
+// equal payloads). The checkpoint cut where the history says, installed in
+// the log's directory, must recover with the log's tail to what the
+// parent served.
 func TestFormatsFrozen(t *testing.T) {
 	dir := t.TempDir()
 	w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncNever})
@@ -183,24 +191,23 @@ func TestFormatsFrozen(t *testing.T) {
 	s.Now = func() time.Time { return now }
 	s.Retention = time.Minute
 	s.AttachWAL(w)
-	checkpoint := filepath.Join(dir, "snapshot.json")
+	checkpoint := filepath.Join(dir, "checkpoint")
 	driveFixture(t, s, &now, checkpoint)
 	want := readFixtureWant(t)
 	checkFixtureState(t, s, want)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	const seg = "wal/00000000000000000001.wal"
-	got, err := os.ReadFile(filepath.Join(dir, seg))
+	got, err := os.ReadFile(filepath.Join(dir, "wal", fixtureSeg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := os.ReadFile(filepath.Join(fixtureDir, seg))
+	frozen, err := os.ReadFile(filepath.Join(fixtureDir, "wal", fixtureSeg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, parent) {
-		t.Errorf("%s differs from the parent commit's:\n got %q\nwant %q", seg, got, parent)
+	if !bytes.Equal(got, frozen) {
+		t.Errorf("%s differs from the parent commit's:\n got %q\nwant %q", fixtureSeg, got, frozen)
 	}
 
 	w, err = wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncNever})
@@ -208,16 +215,25 @@ func TestFormatsFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	data, err := os.ReadFile(checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteCheckpoint(snap.WALSeq, data); err != nil {
+		t.Fatal(err)
+	}
 	recovered := NewServer(99)
 	recovered.AttachWAL(w)
-	if err := recovered.LoadSnapshot(checkpoint); err != nil {
-		t.Fatalf("restoring the checkpoint: %v", err)
-	}
-	if seq := recovered.WALSeq(); seq == 0 || seq >= want.WALSeq {
-		t.Fatalf("checkpoint covers through %d of %d records: not a mid-history cut", seq, want.WALSeq)
-	}
-	if _, err := recovered.ReplayWAL(); err != nil {
+	applied, err := recovered.ReplayWAL()
+	if err != nil {
 		t.Fatalf("replaying the tail over the checkpoint: %v", err)
+	}
+	if applied == 0 || uint64(applied) >= want.WALSeq {
+		t.Fatalf("replayed %d of %d records over the checkpoint: not a mid-history cut", applied, want.WALSeq)
 	}
 	checkFixtureState(t, recovered, want)
 }

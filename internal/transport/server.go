@@ -16,7 +16,7 @@
 // The layer is built for flaky fleets: clients retry with backoff
 // (RetryPolicy), the server acks retransmitted reports instead of
 // rejecting them, sessions carry TTL deadlines that auto-finalize or
-// expire them, and the whole session table snapshots to a checkpoint — a
+// expire them, and the whole session table is written as a checkpoint — a
 // framed stream of the log's own records, rebuilt by the same Apply that
 // replays the log — so a daemon restart does not lose an in-flight
 // aggregation.
@@ -25,9 +25,12 @@
 // state transition — session create, task assignment, accepted report,
 // finalize, expire, retention delete — is appended and committed to the
 // log before the reply leaves the server, so even a SIGKILL or power
-// loss cannot take back an ack. Boot restores the latest snapshot and
-// replays the WAL tail (ReplayWAL); CompactWAL cuts a fresh snapshot
-// and reclaims covered segments.
+// loss cannot take back an ack. The log's directory is the whole recovery
+// input: CompactWAL writes a checkpoint into it and reclaims the segments
+// it covers, and boot restores the newest checkpoint there and replays the
+// segments after it (ReplayWAL). Replication ships the same two things
+// over one route: log records, and the checkpoint to a follower whose
+// resume point was compacted away.
 //
 // Concurrency: the session table is a map behind an RWMutex, taken once
 // per request, and each session is a pure state machine
@@ -188,11 +191,10 @@ func NewServer(seed uint64) *Server {
 	mux.HandleFunc("POST /v1/sessions/{id}/finalize", s.instrument("/v1/sessions/{id}/finalize", s.gated(gateAdmin, s.handleFinalize)))
 	mux.HandleFunc("GET /v1/sessions/{id}/result", s.instrument("/v1/sessions/{id}/result", s.gated(gateQuery, s.handleResult)))
 	// The replication plane is instrumented but not gated: role handling
-	// happens inside each handler (status answers on every role, wal and
-	// snapshot only on a primary), and a standby must keep serving these
+	// happens inside each handler (status answers on every role, wal only
+	// on a primary), and a standby must keep serving these
 	// even while shedding everything else.
 	mux.HandleFunc("GET /v1/replication/wal", s.instrument("/v1/replication/wal", s.handleReplWAL))
-	mux.HandleFunc("GET /v1/replication/snapshot", s.instrument("/v1/replication/snapshot", s.handleReplSnapshot))
 	mux.HandleFunc("GET /v1/replication/status", s.instrument("/v1/replication/status", s.handleReplStatus))
 	mux.HandleFunc("POST /v1/replication/promote", s.instrument("/v1/replication/promote", s.handleReplPromote))
 	mux.HandleFunc("POST /v1/replication/demote", s.instrument("/v1/replication/demote", s.handleReplDemote))

@@ -1,33 +1,31 @@
 package transport
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	machine "repro/internal/session"
+	"repro/internal/wal"
 )
 
 // Snapshot is the server's session table as the records that rebuild it
-// (per session, what session.Checkpoint returns), written by a draining
-// daemon or the compactor and restored on the next boot, so in-flight
-// aggregations survive a restart. The RNG stream is not captured: task
-// assignment is deficit-driven off the rebuilt issued counts, so the
-// low-discrepancy property holds across the restart; only the
-// (secret-free) session-id stream reseeds.
+// (per session, what session.Checkpoint returns): the checkpoint the
+// compactor writes into the WAL directory (CompactWAL) and the next boot
+// restores (ReplayWAL), so in-flight aggregations survive a restart. The
+// RNG stream is not captured: task assignment is deficit-driven off the
+// rebuilt issued counts, so the low-discrepancy property holds across the
+// restart; only the (secret-free) session-id stream reseeds.
 //
-// On disk and on the replication snapshot route it travels as a
-// checkpoint: the replication frame stream (appendReplFrame) of JSON
-// payloads, frames numbered 0, 1, 2, … in their sequence field — the
-// header (this struct's own fields), one frame per record, and an end
-// frame. The numbering catches a dropped, repeated or reordered frame,
-// the end frame a checkpoint cut short at a frame boundary, and frame 0's
-// first byte, 0, tells a checkpoint from the JSON image older builds
-// wrote, whose first byte is '{'.
+// On disk and on the replication route it travels as the replication
+// frame stream (appendReplFrame) of JSON payloads, frames numbered 0, 1,
+// 2, … in their sequence field — the header (this struct's own fields),
+// one frame per record, and an end frame. The numbering catches a
+// dropped, repeated or reordered frame, the end frame a checkpoint cut
+// short at a frame boundary.
 type Snapshot struct {
 	// SavedAt records when the snapshot was cut.
 	SavedAt time.Time `json:"saved_at"`
@@ -78,11 +76,6 @@ func (s *Server) Snapshot() *Snapshot {
 // whole validation; a record that fails refuses the snapshot and restores
 // nothing. The rebuilt sessions then replace any the server holds under
 // the same ids.
-//
-// With a WAL attached (AttachWAL before Restore), a snapshot claiming to
-// cover sequences past the WAL head is rejected: it was cut against a
-// log that no longer exists, and replaying the present log under it
-// would silently diverge.
 func (s *Server) Restore(snap *Snapshot) error {
 	rebuilt := &sessionTable{sessions: make(map[string]*session)}
 	for i := range snap.Records {
@@ -93,12 +86,6 @@ func (s *Server) Restore(snap *Snapshot) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := s.walRef(); w != nil {
-		if head := w.LastSeq(); snap.WALSeq > head {
-			return fmt.Errorf("transport: snapshot covers through wal seq %d but the wal head is %d: snapshot is newer than the log",
-				snap.WALSeq, head)
-		}
-	}
 	s.table.mu.Lock()
 	for id, sess := range rebuilt.sessions {
 		s.table.sessions[id] = sess
@@ -133,8 +120,8 @@ func (snap *Snapshot) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// ReadSnapshot decodes a checkpoint. It is outside input — a file, or the
-// body of the replication snapshot route — so every frame is length- and
+// ReadSnapshot decodes a checkpoint. It is outside input — a file, or a
+// replication answer — so every frame is length- and
 // checksum-verified (DecodeReplFrames) and must carry the next number, and
 // the stream must close with the end frame. What the records say is for
 // Restore, that is Apply, to judge.
@@ -173,77 +160,36 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return snap, nil
 }
 
-// WriteFile writes the snapshot to path as a checkpoint, atomically AND
-// durably: the temp file is fsynced before the rename and the parent
-// directory after it. Rename alone orders nothing on power loss — without
-// the first fsync the renamed file can surface empty, and without the
-// second the rename itself can vanish.
-func (snap *Snapshot) WriteFile(path string) error {
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".fednum-snapshot-*")
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// SaveSnapshot cuts a snapshot of the session table and writes it
-// durably to path (see Snapshot.WriteFile).
+// SaveSnapshot cuts a snapshot of the session table and writes it to
+// path as a checkpoint, atomically and durably (wal.WriteFile): the
+// persistence of a server running without a log.
 func (s *Server) SaveSnapshot(path string) error {
-	if err := s.Snapshot().WriteFile(path); err != nil {
+	data, err := s.Snapshot().MarshalBinary()
+	if err == nil {
+		err = wal.WriteFile(path, data)
+	}
+	if err != nil {
 		return err
 	}
 	s.metrics.snapshots.Inc()
 	return nil
 }
 
-// LoadSnapshot reads a snapshot file written by SaveSnapshot and restores
-// it into the server. A missing file is not an error (first boot). A file
-// whose first byte is '{' is the JSON image older builds wrote
-// (legacy_snapshot.go).
+// LoadSnapshot reads a checkpoint file written by SaveSnapshot and
+// restores it into the server. A missing file is not an error (first
+// boot).
 func (s *Server) LoadSnapshot(path string) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	if len(data) > 0 && data[0] == '{' {
-		err = s.restoreLegacy(data)
-	} else {
-		var snap *Snapshot
-		if snap, err = ReadSnapshot(bytes.NewReader(data)); err == nil {
-			err = s.Restore(snap)
-		}
+	defer f.Close()
+	snap, err := ReadSnapshot(bufio.NewReader(f))
+	if err == nil {
+		err = s.Restore(snap)
 	}
 	if err != nil {
 		return fmt.Errorf("transport: snapshot %s: %w", path, err)

@@ -8,6 +8,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -16,8 +17,8 @@ import (
 
 // ErrCompacted reports a ReadFrom/ScanDir start sequence that has been
 // compacted away: the caller's resume point predates the oldest record
-// still on disk, so it must re-bootstrap from a snapshot instead of
-// tailing the log.
+// still on disk, so it must start from the checkpoint (OpenCheckpoint)
+// instead of tailing the log.
 var ErrCompacted = errors.New("wal: sequence compacted away")
 
 // errStopRead is the internal sentinel a ReadFrom scan callback returns
@@ -36,8 +37,8 @@ type Record struct {
 // returned when any is available, whatever its size). An empty, non-nil
 // result never occurs: a from past the head returns (nil, nil) — poll
 // again after WaitFor — and a from below the oldest on-disk sequence
-// returns ErrCompacted, telling a follower to re-bootstrap from a
-// snapshot. Payloads are fresh copies, safe to retain.
+// returns ErrCompacted, telling a follower to start from the
+// checkpoint. Payloads are fresh copies, safe to retain.
 //
 // ReadFrom is safe against concurrent appends: it scans a point-in-time
 // copy of the segment list and tolerates a mid-write tail in the active
@@ -54,54 +55,28 @@ func (w *WAL) ReadFrom(from uint64, maxRecords int, maxBytes int64) ([]Record, e
 		maxBytes = 4 << 20
 	}
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil, ErrClosed
-	}
-	first := w.firstSeq
-	head := w.nextSeq - 1
-	segs := append([]segment(nil), w.sealed...)
-	segs = append(segs, segment{base: w.segBase, count: w.segCount, path: segmentPath(w.opts.Dir, w.segBase)})
+	closed, first, head, segs := w.closed, w.firstSeq, w.nextSeq-1, w.segmentsLocked()
 	w.mu.Unlock()
-
-	if from > head {
+	switch {
+	case closed:
+		return nil, ErrClosed
+	case from > head:
 		return nil, nil
-	}
-	if first == 0 || from < first {
+	case first == 0 || from < first:
 		return nil, fmt.Errorf("%w: want seq %d, oldest on disk is %d", ErrCompacted, from, first)
 	}
 	var out []Record
 	var outBytes int64
-	for i, s := range segs {
-		if s.base+s.count <= from {
-			continue
+	err := scanFrom(segs, from, func(seq uint64, payload []byte) error {
+		if len(out) >= maxRecords || (len(out) > 0 && outBytes+int64(len(payload))+headerBytes > maxBytes) {
+			return errStopRead
 		}
-		sealed := i < len(segs)-1
-		seq := s.base
-		_, err := scanSegment(s.path, sealed, func(payload []byte) error {
-			if seq < from {
-				seq++
-				return nil
-			}
-			if len(out) >= maxRecords || (len(out) > 0 && outBytes+int64(len(payload))+headerBytes > maxBytes) {
-				return errStopRead
-			}
-			p := make([]byte, len(payload))
-			copy(p, payload)
-			out = append(out, Record{Seq: seq, Payload: p})
-			outBytes += int64(len(payload)) + headerBytes
-			seq++
-			return nil
-		})
-		if err != nil {
-			if errors.Is(err, errStopRead) {
-				return out, nil
-			}
-			return nil, err
-		}
-		if len(out) >= maxRecords {
-			break
-		}
+		out = append(out, Record{Seq: seq, Payload: bytes.Clone(payload)})
+		outBytes += int64(len(payload)) + headerBytes
+		return nil
+	})
+	if err != nil && !errors.Is(err, errStopRead) {
+		return nil, err
 	}
 	return out, nil
 }
@@ -149,7 +124,7 @@ func (w *WAL) SizeBytes() int64 {
 
 // AlignTo repositions an empty, never-appended log so that the next
 // append receives seq+1: the bootstrap step for a standby that just
-// restored a primary snapshot covering history through seq and will
+// installed a primary checkpoint covering history through seq and will
 // mirror everything after it via AppendAt. A log that holds (or within
 // this process ever held) records refuses to move — realigning live
 // history is how silent divergence starts.
@@ -199,44 +174,12 @@ func ScanDir(dir string, from uint64, fn func(seq uint64, payload []byte) error)
 	if from == 0 {
 		return errors.New("wal: ScanDir requires from >= 1")
 	}
-	segs, err := listSegments(dir)
-	if err != nil {
+	segs, _, err := listDir(dir, false)
+	if err != nil || len(segs) == 0 {
 		return err
-	}
-	if len(segs) == 0 {
-		return nil
-	}
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i+1].base <= segs[i].base {
-			return fmt.Errorf("wal: segment bases out of order: %s then %s", segs[i].path, segs[i+1].path)
-		}
-		segs[i].count = segs[i+1].base - segs[i].base
 	}
 	if from < segs[0].base {
 		return fmt.Errorf("%w: want seq %d, oldest in %s is %d", ErrCompacted, from, dir, segs[0].base)
 	}
-	for i, s := range segs {
-		sealed := i < len(segs)-1
-		if sealed && s.base+s.count <= from {
-			continue
-		}
-		seq := s.base
-		res, err := scanSegment(s.path, sealed, func(payload []byte) error {
-			if seq < from {
-				seq++
-				return nil
-			}
-			err := fn(seq, payload)
-			seq++
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		if sealed && res.records != s.count {
-			return fmt.Errorf("%w: segment %s holds %d records, expected %d from the segment index",
-				ErrCorrupt, s.path, res.records, s.count)
-		}
-	}
-	return nil
+	return scanFrom(segs, from, fn)
 }
