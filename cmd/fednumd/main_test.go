@@ -288,3 +288,44 @@ func TestMetricsDebugEndpoint(t *testing.T) {
 		t.Error("/debug/pprof/ index does not list profiles")
 	}
 }
+
+// TestSnapshotIntervalWithoutWAL: a daemon with -snapshot but no log
+// rewrites its checkpoint file every -snapshot-interval, so a session
+// created before a kill -9 comes back on the next boot.
+func TestSnapshotIntervalWithoutWAL(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "fednumd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building fednumd: %v\n%s", err, out)
+	}
+	snap := filepath.Join(dir, "sessions.ckpt")
+	d := startDaemon(t, bin, "127.0.0.1:0", snap, "-snapshot-interval", "50ms")
+	ctx := context.Background()
+	session, err := (&transport.Admin{BaseURL: d.baseURL}).CreateSession(ctx, wire.SessionConfig{Feature: "tick", Bits: 4, Gamma: 1})
+	if err != nil {
+		t.Fatalf("create session: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s := transport.NewServer(1)
+		if err := s.LoadSnapshot(snap); err == nil && len(s.Sessions()) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			d.cmd.Process.Kill()
+			t.Fatal("no periodic checkpoint holds the session")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	d.cmd.Process.Kill()
+	<-d.done
+
+	d2 := startDaemon(t, bin, "127.0.0.1:0", snap)
+	defer d2.sigterm(t)
+	if _, err := (&transport.Admin{BaseURL: d2.baseURL}).Result(ctx, session); err != nil {
+		t.Fatalf("session %s after kill -9: %v", session, err)
+	}
+}

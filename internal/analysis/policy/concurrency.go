@@ -18,9 +18,10 @@ var LockFacts = map[string][]string{
 	"(*repro/internal/wal.WAL).WaitFor":         {"repro/internal/wal.WAL.mu"},
 	"(*repro/internal/wal.WAL).ReadFrom":        {"repro/internal/wal.WAL.mu"},
 	"(*repro/internal/wal.WAL).Replay":          {"repro/internal/wal.WAL.mu"},
-	"(*repro/internal/wal.WAL).Rotate":          {"repro/internal/wal.WAL.mu", "repro/internal/wal.WAL.flushMu"},
-	"(*repro/internal/wal.WAL).TruncateThrough": {"repro/internal/wal.WAL.mu"},
 	"(*repro/internal/wal.WAL).AlignTo":         {"repro/internal/wal.WAL.mu"},
+	"(*repro/internal/wal.WAL).KeepFrom":        {"repro/internal/wal.WAL.mu"},
+	"(*repro/internal/wal.WAL).OpenCheckpoint":  {"repro/internal/wal.WAL.mu"},
+	"(*repro/internal/wal.WAL).WriteCheckpoint": {"repro/internal/wal.WAL.mu", "repro/internal/wal.WAL.flushMu"},
 	"(*repro/internal/wal.WAL).Close":           {"repro/internal/wal.WAL.mu", "repro/internal/wal.WAL.flushMu"},
 	"(*repro/internal/wal.WAL).FirstSeq":        {"repro/internal/wal.WAL.mu"},
 	"(*repro/internal/wal.WAL).LastSeq":         {"repro/internal/wal.WAL.mu"},

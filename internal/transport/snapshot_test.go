@@ -72,7 +72,7 @@ func frameBoundaries(data []byte) []int {
 
 // TestDamagedCheckpointRefused: a checkpoint cut short at any frame
 // boundary, or with any one byte flipped, is refused — by LoadSnapshot and
-// by a follower's bootstrap, ReadSnapshot then BootstrapReplica — and
+// by a follower's bootstrap, BootstrapReplica of the served bytes — and
 // restores nothing.
 func TestDamagedCheckpointRefused(t *testing.T) {
 	data := checkpointFixture(t)
@@ -91,11 +91,7 @@ func TestDamagedCheckpointRefused(t *testing.T) {
 		o.loadErr = s.LoadSnapshot(path)
 		standby := NewServer(3)
 		standby.SetRole(RoleStandby)
-		snap, err := ReadSnapshot(bytes.NewReader(b))
-		if err == nil {
-			err = standby.BootstrapReplica(snap)
-		}
-		o.bootErr = err
+		o.bootErr = standby.BootstrapReplica(b)
 		o.loaded, o.booted = len(s.Sessions()), len(standby.Sessions())
 		return o
 	}

@@ -28,7 +28,7 @@ const (
 	MetricTornTruncations = "fednum_wal_torn_truncations_total"
 	// MetricRotations counts segment seals.
 	MetricRotations = "fednum_wal_rotations_total"
-	// MetricCompactions counts TruncateThrough calls that removed at
+	// MetricCompactions counts WriteCheckpoint calls that removed at
 	// least one sealed segment.
 	MetricCompactions = "fednum_wal_compactions_total"
 	// MetricSegmentsRemoved counts sealed segment files reclaimed.

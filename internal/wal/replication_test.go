@@ -85,11 +85,8 @@ func TestReadFromCompactedSeqErrs(t *testing.T) {
 	w := smallSegs(t, t.TempDir())
 	defer w.Close()
 	appendN(t, w, 0, 12)
-	if err := w.Rotate(); err != nil {
-		t.Fatal(err)
-	}
 	head := w.LastSeq()
-	if _, err := w.TruncateThrough(head); err != nil {
+	if _, err := w.WriteCheckpoint(head, []byte("through the head")); err != nil {
 		t.Fatal(err)
 	}
 	first := w.FirstSeq()
@@ -280,11 +277,8 @@ func TestScanDirSalvagesTornDeadLog(t *testing.T) {
 	sub := t.TempDir()
 	w2 := smallSegs(t, sub)
 	appendN(t, w2, 0, 8)
-	if err := w2.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := w2.TruncateThrough(5); err != nil || n == 0 {
-		t.Fatalf("TruncateThrough(5) removed %d segments, err %v", n, err)
+	if n, err := w2.WriteCheckpoint(5, []byte("through 5")); err != nil || n == 0 {
+		t.Fatalf("WriteCheckpoint(5) removed %d segments, err %v", n, err)
 	}
 	w2.Close()
 	if err := ScanDir(sub, 1, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCompacted) {
@@ -293,7 +287,7 @@ func TestScanDirSalvagesTornDeadLog(t *testing.T) {
 }
 
 // TestTruncateThroughAtExactSegmentSeal pins the snapshot/WAL boundary
-// case where the snapshot's WALSeq lands exactly on a segment seal:
+// case where the checkpoint's WALSeq lands exactly on a segment seal:
 // compaction must reclaim every sealed segment, the survivor set must
 // start exactly at WALSeq+1, and both replay and ReadFrom must resume
 // there after a reopen.
@@ -301,20 +295,13 @@ func TestTruncateThroughAtExactSegmentSeal(t *testing.T) {
 	dir := t.TempDir()
 	w := smallSegs(t, dir)
 	appendN(t, w, 0, 9)
-	// Seal at exactly seq 9 (the snapshot point), then write the tail
-	// the snapshot does not cover.
-	if err := w.Rotate(); err != nil {
-		t.Fatal(err)
-	}
+	// Checkpoint at exactly seq 9, which seals the segment there, then
+	// write the tail the checkpoint does not cover.
 	sealSeq := w.LastSeq()
-	if sealSeq != 9 {
-		t.Fatalf("seal at seq %d, want 9", sealSeq)
+	if _, err := w.WriteCheckpoint(sealSeq, []byte("through 9")); err != nil {
+		t.Fatal(err)
 	}
 	appendN(t, w, 9, 4)
-
-	if _, err := w.TruncateThrough(sealSeq); err != nil {
-		t.Fatal(err)
-	}
 	if got := w.FirstSeq(); got != sealSeq+1 {
 		t.Fatalf("FirstSeq after boundary truncation = %d, want %d", got, sealSeq+1)
 	}
