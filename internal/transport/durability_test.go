@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	machine "repro/internal/session"
 	"repro/internal/transport/wire"
 	"repro/internal/wal"
 )
@@ -325,10 +326,10 @@ func TestReplayOverSnapshotCutAfterEnd(t *testing.T) {
 // TestEndedSessionReleasesClients pins what ending a session gives back:
 // the client entries leave the heap at finalize and at expiry — all of
 // what the cohort cost, about 63 B a client at this size — and neither
-// the session nor its checkpoint grows with the cohort any more. While
-// the session is open its checkpoint is its client entries, and must be
-// no larger than the 52.3 B a client the JSON image it replaced took for
-// this cohort: 12-character ids, 90 % of them reported.
+// the session nor its checkpoint grows with the cohort: an ended one's
+// checkpoint stays under 1 KiB. While the session is open its checkpoint
+// is its client entries, at most 16 B a client for this cohort:
+// 12-character ids, 90 % of them reported.
 func TestEndedSessionReleasesClients(t *testing.T) {
 	clients := 300000
 	if testing.Short() {
@@ -396,8 +397,8 @@ func TestEndedSessionReleasesClients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(image) >= 4096 {
-			t.Errorf("%s: checkpoint of the ended %d-client session is %d bytes, want under 4 KiB", how, clients, len(image))
+		if len(image) >= 1024 {
+			t.Errorf("%s: checkpoint of the ended %d-client session is %d bytes, want under 1 KiB", how, clients, len(image))
 		}
 		t.Logf("%s: %d clients cost %.1f B each while open; %d bytes remain after the end; checkpoint %d bytes",
 			how, clients, float64(open-empty)/float64(clients), ended-empty, len(image))
@@ -406,7 +407,8 @@ func TestEndedSessionReleasesClients(t *testing.T) {
 
 // checkOpenCheckpoint cuts, encodes, decodes and restores the checkpoint
 // of s, whose one open session has clients entries, and holds its size to
-// the parent's JSON image's.
+// 16 B a client: in binary records an entry is a 12-byte id, its length,
+// an index and a state (JSON records took 19.4).
 func checkOpenCheckpoint(t *testing.T, s *Server, clients int) {
 	t.Helper()
 	t0 := time.Now()
@@ -428,8 +430,8 @@ func checkOpenCheckpoint(t *testing.T, s *Server, clients int) {
 		t.Fatalf("restored open session differs:\n got %s\nwant %s", got, want)
 	}
 	perClient := float64(len(data)) / float64(clients)
-	if perClient > 52.3 {
-		t.Errorf("open-session checkpoint is %.1f B a client, larger than the 52.3 B JSON image it replaces", perClient)
+	if perClient > 16 {
+		t.Errorf("open-session checkpoint is %.1f B a client, want at most 16", perClient)
 	}
 	t.Logf("open checkpoint: %.1f B/client, cut+encode %.0f ns/client, decode+restore %.0f ns/client",
 		perClient, float64(t1.Sub(t0).Nanoseconds())/float64(clients), float64(t2.Sub(t1).Nanoseconds())/float64(clients))
@@ -511,6 +513,27 @@ func TestWALDisabledServerUnchanged(t *testing.T) {
 	}
 	if got := s.WALSeq(); got != 0 {
 		t.Fatalf("WALSeq without WAL = %d, want 0", got)
+	}
+}
+
+// TestWALAppendReportAllocs pins the durable accept path's logging at zero
+// allocations: a report record is encoded into its session's buffer and
+// framed in the log's own, all under the session's mutex on the live path.
+func TestWALAppendReportAllocs(t *testing.T) {
+	s, w := newWALServer(t, t.TempDir(), 1)
+	defer w.Close()
+	var sess session
+	rec := machine.Record{Op: machine.OpReport, Session: "s0123abcd", Client: "dev-0000002a", Bit: 7, Value: 1}
+	if _, err := s.walAppend(&sess.enc, &rec); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := s.walAppend(&sess.enc, &rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("logging a report record allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -15,17 +15,22 @@ import (
 	"repro/internal/wal"
 )
 
-// testdata/parent holds driveFixture's history. Its log segment
-// (wal/*.wal) and want.json, what that server then served, were written by
-// the commit before the session state machine was extracted (9e1cb7d);
-// the checkpoint beside the segment (wal/*.ckpt) was cut where the history
-// says by the commit that moved checkpoints into the log's directory. This
-// code must boot on that directory to the same answers and, run through
-// the same history, write the same log bytes.
+// Two log directories hold driveFixture's history, each a segment with
+// every record (wal/*.wal) and the checkpoint the history cuts part-way
+// (wal/*.ckpt). testdata/parent is in the JSON records logs were written
+// in before the binary encoding: its segment and want.json, what that
+// server then served, come from the commit before the session state
+// machine was extracted (9e1cb7d), its checkpoint from the commit that
+// moved checkpoints into the log's directory. This code must boot on it
+// to the same answers — as a node upgraded in place, and as a standby
+// replicating an old primary. testdata/binary is what this code writes
+// for the same history, in the binary record encoding
+// (session.Record.AppendBinary); it must go on writing exactly that.
 const (
-	fixtureDir  = "testdata/parent"
-	fixtureSeg  = "00000000000000000001.wal"
-	fixtureCkpt = "00000000000000000185.ckpt"
+	parentFixture = "testdata/parent"
+	binaryFixture = "testdata/binary"
+	fixtureSeg    = "00000000000000000001.wal"
+	fixtureCkpt   = "00000000000000000185.ckpt"
 )
 
 type fixtureWant struct {
@@ -37,7 +42,7 @@ type fixtureWant struct {
 
 func readFixtureWant(t *testing.T) fixtureWant {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(fixtureDir, "want.json"))
+	data, err := os.ReadFile(filepath.Join(parentFixture, "want.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +72,10 @@ func checkFixtureState(t *testing.T, s *Server, want fixtureWant) {
 	}
 }
 
-// fixtureWAL opens a scratch copy of the fixture's log directory, with or
+// fixtureWAL opens a scratch copy of a fixture's log directory, with or
 // without its checkpoint (Open takes over the active segment, so the
 // original stays read-only).
-func fixtureWAL(t *testing.T, withCheckpoint bool) *wal.WAL {
+func fixtureWAL(t *testing.T, fixture string, withCheckpoint bool) *wal.WAL {
 	t.Helper()
 	dir := t.TempDir()
 	files := []string{fixtureSeg}
@@ -78,7 +83,7 @@ func fixtureWAL(t *testing.T, withCheckpoint bool) *wal.WAL {
 		files = append(files, fixtureCkpt)
 	}
 	for _, name := range files {
-		data, err := os.ReadFile(filepath.Join(fixtureDir, "wal", name))
+		data, err := os.ReadFile(filepath.Join(fixture, "wal", name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,27 +99,58 @@ func fixtureWAL(t *testing.T, withCheckpoint bool) *wal.WAL {
 	return w
 }
 
-// TestParentFixtureRecovers boots on the fixture's directory both ways a
-// daemon can: the checkpoint plus the log's tail, and the log alone.
-func TestParentFixtureRecovers(t *testing.T) {
-	want := readFixtureWant(t)
+// bootFixture boots on a fixture's directory both ways a daemon can: the
+// checkpoint plus the log's tail, and the log alone.
+func bootFixture(t *testing.T, fixture string, want fixtureWant) {
+	t.Helper()
 	for _, withCheckpoint := range []bool{true, false} {
 		s := NewServer(99)
-		s.AttachWAL(fixtureWAL(t, withCheckpoint))
+		s.AttachWAL(fixtureWAL(t, fixture, withCheckpoint))
 		applied, err := s.ReplayWAL()
 		if err != nil {
-			t.Fatalf("booting on the fixture (checkpoint=%v): %v", withCheckpoint, err)
+			t.Fatalf("booting on %s (checkpoint=%v): %v", fixture, withCheckpoint, err)
 		}
 		if replayed := uint64(applied); withCheckpoint && (replayed == 0 || replayed >= want.WALSeq) {
-			t.Fatalf("replayed %d of %d records over the checkpoint: not a mid-history cut", replayed, want.WALSeq)
+			t.Fatalf("%s: replayed %d of %d records over the checkpoint: not a mid-history cut", fixture, replayed, want.WALSeq)
 		}
 		checkFixtureState(t, s, want)
 	}
 }
 
-// driveFixture is the history behind testdata/parent, byte for byte the
-// one the parent commit ran: five sessions (ε-LDP bits, thresholds, a
-// TTL that expires, a TTL that auto-finalizes, one that expires and is
+// TestParentFixtureRecovers is the upgrade from JSON records: a node
+// booting on the old log directory, and a standby applying an old
+// primary's log as it is shipped — record for record through
+// ApplyReplicated into its own log — then rebooting on that log.
+func TestParentFixtureRecovers(t *testing.T) {
+	want := readFixtureWant(t)
+	bootFixture(t, parentFixture, want)
+
+	dir := t.TempDir()
+	w, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby := NewServer(99)
+	standby.SetRole(RoleStandby)
+	standby.AttachWAL(w)
+	if err := fixtureWAL(t, parentFixture, false).Replay(standby.ApplyReplicated); err != nil {
+		t.Fatalf("a standby applying the JSON records: %v", err)
+	}
+	if err := standby.CommitReplicated(); err != nil {
+		t.Fatal(err)
+	}
+	checkFixtureState(t, standby, want)
+	w.Close()
+	rebooted, _ := newWALServer(t, dir, 99)
+	if _, err := rebooted.ReplayWAL(); err != nil {
+		t.Fatalf("rebooting the standby on its mirrored log: %v", err)
+	}
+	checkFixtureState(t, rebooted, want)
+}
+
+// driveFixture is the history behind the fixtures, byte for byte the one
+// the parent commit ran: five sessions (ε-LDP bits, thresholds, a TTL that
+// expires, a TTL that auto-finalizes, one that expires and is
 // retention-deleted), clients that take a task and never report, a
 // snapshot part-way, deadline sweeps on an injected clock.
 func driveFixture(t *testing.T, s *Server, now *time.Time, snapshotPath string) {
@@ -174,12 +210,14 @@ func driveFixture(t *testing.T, s *Server, now *time.Time, snapshotPath string) 
 	s.Sweep() // gone ages past Retention and is deleted
 }
 
-// TestFormatsFrozen runs the fixture's history on this code. The log is
-// a format: every WAL payload must be the parent's, in order (the log is
-// one segment of length-and-CRC framed payloads, so equal files mean
-// equal payloads). The checkpoint cut where the history says, installed in
-// the log's directory, must recover with the log's tail to what the
-// parent served.
+// TestFormatsFrozen runs the fixture's history on this code. The log and
+// the checkpoint are formats, read by later builds and by standbys of
+// other builds, so they must be testdata/binary's. The log is one segment
+// of length-and-CRC framed payloads, so equal files mean equal payloads,
+// in order. A checkpoint's sessions and client entries come in map order,
+// so it must hold the frozen one's header and records, up to that order
+// (its records' bytes are TestRecordEncodingPinned's). Then the frozen
+// directory must boot to what the parent served.
 func TestFormatsFrozen(t *testing.T) {
 	dir := t.TempDir()
 	w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncNever})
@@ -198,42 +236,27 @@ func TestFormatsFrozen(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, "wal", fixtureSeg))
-	if err != nil {
-		t.Fatal(err)
+	read := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	frozen, err := os.ReadFile(filepath.Join(fixtureDir, "wal", fixtureSeg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, frozen := read(filepath.Join(dir, "wal", fixtureSeg)), read(filepath.Join(binaryFixture, "wal", fixtureSeg))
 	if !bytes.Equal(got, frozen) {
-		t.Errorf("%s differs from the parent commit's:\n got %q\nwant %q", fixtureSeg, got, frozen)
+		t.Errorf("%s differs from the frozen one:\n got %q\nwant %q", fixtureSeg, got, frozen)
 	}
 
-	w, err = wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
+	var snaps [2]*Snapshot
+	for i, path := range []string{checkpoint, filepath.Join(binaryFixture, "wal", fixtureCkpt)} {
+		if snaps[i], err = ReadSnapshot(bytes.NewReader(read(path))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer w.Close()
-	data, err := os.ReadFile(checkpoint)
-	if err != nil {
-		t.Fatal(err)
+	if cut := snaps[0].SavedAt; !cut.Equal(snaps[1].SavedAt) || !reflect.DeepEqual(canonicalize(snaps[0]), canonicalize(snaps[1])) {
+		t.Errorf("checkpoint cut at %v holds\n%+v\nthe frozen one, cut at %v\n%+v", cut, snaps[0], snaps[1].SavedAt, snaps[1])
 	}
-	snap, err := ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.WriteCheckpoint(snap.WALSeq, data); err != nil {
-		t.Fatal(err)
-	}
-	recovered := NewServer(99)
-	recovered.AttachWAL(w)
-	applied, err := recovered.ReplayWAL()
-	if err != nil {
-		t.Fatalf("replaying the tail over the checkpoint: %v", err)
-	}
-	if applied == 0 || uint64(applied) >= want.WALSeq {
-		t.Fatalf("replayed %d of %d records over the checkpoint: not a mid-history cut", applied, want.WALSeq)
-	}
-	checkFixtureState(t, recovered, want)
+	bootFixture(t, binaryFixture, want)
 }

@@ -158,6 +158,7 @@ type Server struct {
 type session struct {
 	mu sync.Mutex
 	*machine.Session
+	enc []byte // the encoding buffer of the records logged under mu (walAppend)
 
 	// The per-session report-rate token bucket (OverloadPolicy.ReportRate).
 	// Ephemeral by design: it is not snapshotted or WAL-logged, so a

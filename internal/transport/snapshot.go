@@ -21,11 +21,12 @@ import (
 // restart; only the (secret-free) session-id stream reseeds.
 //
 // On disk and on the replication route it travels as the replication
-// frame stream (appendReplFrame) of JSON payloads, frames numbered 0, 1,
-// 2, … in their sequence field — the header (this struct's own fields),
-// one frame per record, and an end frame. The numbering catches a
-// dropped, repeated or reordered frame, the end frame a checkpoint cut
-// short at a frame boundary.
+// frame stream (appendReplFrame), frames numbered 0, 1, 2, … in their
+// sequence field: the header (this struct's own fields, as JSON), one
+// frame per record in the log's own encoding (session.Record.AppendBinary),
+// and an end frame, a session.OpCheckpointEnd record. The numbering
+// catches a dropped, repeated or reordered frame, the end frame a
+// checkpoint cut short at a frame boundary.
 type Snapshot struct {
 	// SavedAt records when the snapshot was cut.
 	SavedAt time.Time `json:"saved_at"`
@@ -38,9 +39,6 @@ type Snapshot struct {
 	// Records rebuild the sessions, in order, through session.Apply.
 	Records []machine.Record `json:"-"`
 }
-
-// opCheckpointEnd is the op of a checkpoint's end frame.
-const opCheckpointEnd = "checkpoint_end"
 
 // Snapshot captures the current session table.
 //
@@ -104,18 +102,22 @@ func (s *Server) Restore(snap *Snapshot) error {
 // MarshalBinary encodes the snapshot as a checkpoint, each record in the
 // WAL's own payload encoding.
 func (snap *Snapshot) MarshalBinary() ([]byte, error) {
-	frames := []any{snap}
-	for i := range snap.Records {
-		frames = append(frames, &snap.Records[i])
+	header, err := json.Marshal(snap)
+	if err != nil {
+		return nil, fmt.Errorf("transport: encoding checkpoint header: %w", err)
 	}
-	frames = append(frames, machine.Record{Op: opCheckpointEnd})
-	var out []byte
-	for i, v := range frames {
-		payload, err := json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("transport: encoding checkpoint frame %d: %w", i, err)
+	out := appendReplFrame(nil, 0, header)
+	var payload []byte
+	end := machine.Record{Op: machine.OpCheckpointEnd}
+	for i := 0; i <= len(snap.Records); i++ {
+		rec := &end
+		if i < len(snap.Records) {
+			rec = &snap.Records[i]
 		}
-		out = appendReplFrame(out, uint64(i), payload)
+		if payload, err = rec.AppendBinary(payload[:0]); err != nil {
+			return nil, fmt.Errorf("transport: encoding checkpoint frame %d: %w", i+1, err)
+		}
+		out = appendReplFrame(out, uint64(i+1), payload)
 	}
 	return out, nil
 }
@@ -146,7 +148,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return err
 		}
-		if ended = rec.Op == opCheckpointEnd; !ended {
+		if ended = rec.Op == machine.OpCheckpointEnd; !ended {
 			snap.Records = append(snap.Records, *rec)
 		}
 		return nil

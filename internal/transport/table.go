@@ -11,6 +11,7 @@ import "sync"
 type sessionTable struct {
 	mu       sync.RWMutex
 	sessions map[string]*session
+	enc      []byte // create and delete records' encoding buffer, guarded by mu held for writing
 }
 
 // get returns the session registered under id, nil when absent.

@@ -44,6 +44,7 @@ const (
 	// MaxRecordBytes bounds one record's payload; anything larger is a
 	// framing error (and on disk, evidence of corruption).
 	MaxRecordBytes = 16 << 20
+	maxFrameBuf    = 64 << 10
 
 	segSuffix  = ".wal"
 	ckptSuffix = ".ckpt"
@@ -160,6 +161,9 @@ type WAL struct {
 	nextSeq  uint64 // seq the next Append receives
 	closed   bool
 	failed   error // sticky append-path failure (unrecoverable torn state)
+	// frame is the buffer appends build their frame in; a frame larger
+	// than maxFrameBuf gets its own and is not kept.
+	frame []byte
 	// appended counts frame bytes over the log's life within this
 	// process, seeded with the on-disk bytes found at Open. Monotonic
 	// (WriteCheckpoint does not roll it back): it is the byte analogue of
@@ -536,10 +540,9 @@ func (w *WAL) append1(payload []byte, want uint64) (uint64, error) {
 	if len(payload) > MaxRecordBytes {
 		return 0, fmt.Errorf("wal: payload %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
 	}
-	frame := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	copy(frame[headerBytes:], payload)
+	var hdr [headerBytes]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
 
 	start := time.Now()
 	w.mu.Lock()
@@ -562,6 +565,12 @@ func (w *WAL) append1(payload []byte, want uint64) (uint64, error) {
 			w.mu.Unlock()
 			return 0, err
 		}
+	}
+	// Header and payload go out in one write, built in a buffer reused
+	// under mu.
+	frame := append(append(w.frame[:0], hdr[:]...), payload...)
+	if cap(frame) <= maxFrameBuf {
+		w.frame = frame
 	}
 	if _, err := w.f.Write(frame); err != nil {
 		// A short write leaves an unframed tail; roll the file back to

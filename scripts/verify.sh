@@ -4,7 +4,8 @@
 # not reach and that needs no download — formatting, the repo's own
 # fedlint analyzers, the race detector over the server packages, the
 # bench/ module's self-tests and short fuzzes of the binary frame
-# reader and the checkpoint reader. CI calls this script; staticcheck and govulncheck, which need
+# reader, the record codec and the checkpoint reader. CI calls this
+# script; staticcheck and govulncheck, which need
 # the network, stay CI-only steps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,6 +37,9 @@ go test -C bench ./...
 
 step "FuzzBatchReader, 10 s"
 go test -run '^$' -fuzz FuzzBatchReader -fuzztime 10s ./internal/transport/wire/
+
+step "FuzzRecord, 10 s"
+go test -run '^$' -fuzz FuzzRecord -fuzztime 10s ./internal/session/
 
 step "FuzzCheckpoint, 10 s"
 go test -run '^$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/transport/
