@@ -84,9 +84,9 @@ func endedSession(t *testing.T, cfg wire.SessionConfig, op string) *Session {
 
 // TestApplyOnEndedSession pins the rule that replaces the client map's
 // idempotence once the map is gone: an ended session has no client
-// entries, absorbs every assign and report without touching a counter
-// (replay over an image cut after the end meets them a second time), and
-// repeats its own end record as a no-op. The other end record
+// entries, absorbs every assign, report and clients record without
+// touching a counter (replay over an image cut after the end meets them a
+// second time), and repeats its own end record as a no-op. The other end record
 // contradicts the state and is an error.
 func TestApplyOnEndedSession(t *testing.T) {
 	cfgs := []wire.SessionConfig{
@@ -111,7 +111,10 @@ func TestApplyOnEndedSession(t *testing.T) {
 				{Op: OpReport, Client: "c0", Bit: 0, Value: 1},    // already counted
 				{Op: OpReport, Client: "c5", Bit: 0, Value: 1},    // assigned, never reported
 				{Op: OpReport, Client: "ghost", Bit: 3, Value: 7}, // would contradict an open session
-				{Op: end, At: time.Unix(999, 0).UTC()},            // the end record again
+				{Op: OpClients, Entries: &Entries{ // a request's reports, known and not
+					Clients: []string{"c0", "c5", "ghost"}, Indexes: []int{0, 0, 9}, States: []uint8{2, 2, 3}}},
+				{Op: OpClients},                        // without entries
+				{Op: end, At: time.Unix(999, 0).UTC()}, // the end record again
 			} {
 				if err := m.Apply(&rec); err != nil {
 					t.Fatalf("%s/%s: %s on the ended session: %v", cfg.Feature, end, rec.Op, err)
@@ -251,7 +254,6 @@ func TestApplyCheckpointRecords(t *testing.T) {
 		{"more report states than clients", []Record{open(func(e *Entries) { e.States = append(e.States, 0) })}, false},
 		{"client at two indexes", []Record{open(nil), entries([]string{"b"}, []int{0}, []uint8{1})}, false},
 		{"client reporting two values", []Record{open(nil), entries([]string{"a"}, []int{2}, []uint8{1})}, false},
-		{"entries after the end", []Record{end(OpFinalize, nil), open(nil)}, false},
 	} {
 		recs := []Record{{Op: OpCreate, Session: "s1", Config: &cfg}}
 		for _, rec := range tc.recs {

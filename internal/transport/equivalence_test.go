@@ -152,7 +152,9 @@ func (h *history) submission(hs *histSession, c *histClient) (wire.Report, wire.
 }
 
 // report submits one to six reports from distinct clients through one of
-// the three entry points.
+// the three entry points, one time in four followed by a second report
+// from one of those clients: it must come back as the session decides it
+// once the first is in, whether the two share a request or not.
 func (h *history) report(hs *histSession) {
 	ctx := context.Background()
 	n := 1
@@ -161,6 +163,7 @@ func (h *history) report(hs *histSession) {
 	}
 	var reps []wire.Report
 	var want []wire.AckStatus
+	var from []*histClient
 	for _, i := range h.rng.Perm(len(hs.clients) + 1) {
 		if len(reps) == n {
 			break
@@ -169,6 +172,12 @@ func (h *history) report(hs *histSession) {
 		if i < len(hs.clients) {
 			c = hs.clients[i]
 		}
+		from = append(from, c)
+	}
+	if h.rng.Intn(4) == 0 {
+		from = append(from, from[h.rng.Intn(len(from))])
+	}
+	for _, c := range from {
 		rep, st := h.submission(hs, c)
 		reps = append(reps, rep)
 		want = append(want, st)

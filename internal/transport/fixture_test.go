@@ -15,19 +15,14 @@ import (
 	"repro/internal/wal"
 )
 
-// Two log directories hold driveFixture's history, each a segment with
-// every record (wal/*.wal) and the checkpoint the history cuts part-way
-// (wal/*.ckpt). testdata/parent is in the JSON records logs were written
-// in before the binary encoding: its segment and want.json, what that
-// server then served, come from the commit before the session state
-// machine was extracted (9e1cb7d), its checkpoint from the commit that
-// moved checkpoints into the log's directory. This code must boot on it
-// to the same answers — as a node upgraded in place, and as a standby
-// replicating an old primary. testdata/binary is what this code writes
-// for the same history, in the binary record encoding
-// (session.Record.AppendBinary); it must go on writing exactly that.
+// testdata/binary holds driveFixture's history as this code writes it: a
+// segment with every record (wal/*.wal) and the checkpoint the history
+// cuts part-way (wal/*.ckpt), in the binary record encoding
+// (session.Record.AppendBinary), and want.json, what the server then
+// served — carried over from the commit before the session state machine
+// was extracted (9e1cb7d). This code must go on writing exactly that, and
+// boot on it to the same answers.
 const (
-	parentFixture = "testdata/parent"
 	binaryFixture = "testdata/binary"
 	fixtureSeg    = "00000000000000000001.wal"
 	fixtureCkpt   = "00000000000000000185.ckpt"
@@ -42,7 +37,7 @@ type fixtureWant struct {
 
 func readFixtureWant(t *testing.T) fixtureWant {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(parentFixture, "want.json"))
+	data, err := os.ReadFile(filepath.Join(binaryFixture, "want.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,83 +67,44 @@ func checkFixtureState(t *testing.T, s *Server, want fixtureWant) {
 	}
 }
 
-// fixtureWAL opens a scratch copy of a fixture's log directory, with or
-// without its checkpoint (Open takes over the active segment, so the
-// original stays read-only).
-func fixtureWAL(t *testing.T, fixture string, withCheckpoint bool) *wal.WAL {
+// bootFixture boots on scratch copies of the fixture's directory (Open
+// takes over the active segment, so the original stays read-only) both
+// ways a daemon can: the checkpoint plus the log's tail, and the log
+// alone.
+func bootFixture(t *testing.T, want fixtureWant) {
 	t.Helper()
-	dir := t.TempDir()
-	files := []string{fixtureSeg}
-	if withCheckpoint {
-		files = append(files, fixtureCkpt)
-	}
-	for _, name := range files {
-		data, err := os.ReadFile(filepath.Join(fixture, "wal", name))
+	for _, files := range [][]string{{fixtureSeg, fixtureCkpt}, {fixtureSeg}} {
+		dir := t.TempDir()
+		for _, name := range files {
+			data, err := os.ReadFile(filepath.Join(binaryFixture, "wal", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	return w
-}
-
-// bootFixture boots on a fixture's directory both ways a daemon can: the
-// checkpoint plus the log's tail, and the log alone.
-func bootFixture(t *testing.T, fixture string, want fixtureWant) {
-	t.Helper()
-	for _, withCheckpoint := range []bool{true, false} {
 		s := NewServer(99)
-		s.AttachWAL(fixtureWAL(t, fixture, withCheckpoint))
+		s.AttachWAL(w)
 		applied, err := s.ReplayWAL()
 		if err != nil {
-			t.Fatalf("booting on %s (checkpoint=%v): %v", fixture, withCheckpoint, err)
+			t.Fatalf("booting on %v: %v", files, err)
 		}
-		if replayed := uint64(applied); withCheckpoint && (replayed == 0 || replayed >= want.WALSeq) {
-			t.Fatalf("%s: replayed %d of %d records over the checkpoint: not a mid-history cut", fixture, replayed, want.WALSeq)
+		if replayed := uint64(applied); len(files) == 2 && (replayed == 0 || replayed >= want.WALSeq) {
+			t.Fatalf("replayed %d of %d records over the checkpoint: not a mid-history cut", replayed, want.WALSeq)
 		}
 		checkFixtureState(t, s, want)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestParentFixtureRecovers is the upgrade from JSON records: a node
-// booting on the old log directory, and a standby applying an old
-// primary's log as it is shipped — record for record through
-// ApplyReplicated into its own log — then rebooting on that log.
-func TestParentFixtureRecovers(t *testing.T) {
-	want := readFixtureWant(t)
-	bootFixture(t, parentFixture, want)
-
-	dir := t.TempDir()
-	w, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	standby := NewServer(99)
-	standby.SetRole(RoleStandby)
-	standby.AttachWAL(w)
-	if err := fixtureWAL(t, parentFixture, false).Replay(standby.ApplyReplicated); err != nil {
-		t.Fatalf("a standby applying the JSON records: %v", err)
-	}
-	if err := standby.CommitReplicated(); err != nil {
-		t.Fatal(err)
-	}
-	checkFixtureState(t, standby, want)
-	w.Close()
-	rebooted, _ := newWALServer(t, dir, 99)
-	if _, err := rebooted.ReplayWAL(); err != nil {
-		t.Fatalf("rebooting the standby on its mirrored log: %v", err)
-	}
-	checkFixtureState(t, rebooted, want)
-}
-
-// driveFixture is the history behind the fixtures, byte for byte the one
+// driveFixture is the history behind the fixture, byte for byte the one
 // the parent commit ran: five sessions (ε-LDP bits, thresholds, a TTL that
 // expires, a TTL that auto-finalizes, one that expires and is
 // retention-deleted), clients that take a task and never report, a
@@ -258,5 +214,5 @@ func TestFormatsFrozen(t *testing.T) {
 	if cut := snaps[0].SavedAt; !cut.Equal(snaps[1].SavedAt) || !reflect.DeepEqual(canonicalize(snaps[0]), canonicalize(snaps[1])) {
 		t.Errorf("checkpoint cut at %v holds\n%+v\nthe frozen one, cut at %v\n%+v", cut, snaps[0], snaps[1].SavedAt, snaps[1])
 	}
-	bootFixture(t, binaryFixture, want)
+	bootFixture(t, want)
 }
