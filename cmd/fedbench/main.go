@@ -97,7 +97,10 @@ func main() {
 			if err := result.WriteTable(os.Stdout); err != nil {
 				fatalf("%v", err)
 			}
-			fmt.Printf("(%d reps, %.1fs)\n\n", opts.Reps, time.Since(start).Seconds())
+			fmt.Println()
+			// Wall time goes to stderr so stdout, results/fedbench_full.txt,
+			// is the same on every run.
+			fmt.Fprintf(os.Stderr, "fedbench: %s: %d reps, %.1fs\n", id, opts.Reps, time.Since(start).Seconds())
 			if *csvDir != "" {
 				if err := writeCSV(*csvDir, result); err != nil {
 					fatalf("%v", err)
