@@ -80,8 +80,7 @@ func main() {
 	gcInterval := flag.Duration("gc-interval", time.Second, "session TTL sweep interval")
 	retention := flag.Duration("retention", 0, "drop finalized/expired sessions this long after they end (0 = keep)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: acked transitions are committed here before replying (empty = disabled)")
-	walFsync := flag.String("wal-fsync", "always", "WAL commit policy: always (fsync per ack), grouped (batched fsync, bounded by -wal-flush-interval) or never (benchmarks only)")
-	walFlushInterval := flag.Duration("wal-flush-interval", 2*time.Millisecond, "max ack delay under -wal-fsync=grouped")
+	walFsync := flag.String("wal-fsync", "always", "WAL commit policy: always (no ack before an fsync covers it; concurrent acks share one; grouped is a synonym) or never (benchmarks only)")
 	snapInterval := flag.Duration("snapshot-interval", 0, "cut a checkpoint this often: into -wal-dir, compacting the WAL, or without one into the -snapshot file; 0 = shutdown only")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "POST body cap in bytes; oversized requests get 413 (0 = 1MiB default, negative = uncapped)")
 	reportInFlight := flag.Int("report-in-flight", 0, "max concurrently handled report submissions (0 = ungated)")
@@ -173,12 +172,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		log, err = wal.Open(wal.Options{
-			Dir:           *walDir,
-			Policy:        policy,
-			FlushInterval: *walFlushInterval,
-			Registry:      agg.Registry(),
-		})
+		log, err = wal.Open(wal.Options{Dir: *walDir, Policy: policy, Registry: agg.Registry()})
 		if err != nil {
 			fatalf("opening wal %s: %v", *walDir, err)
 		}

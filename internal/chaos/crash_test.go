@@ -100,7 +100,6 @@ func TestCrashRecoveryNoAckedReportLost(t *testing.T) {
 			"-snapshot", filepath.Join(dir, "snap.json"),
 			"-wal-dir", filepath.Join(dir, "wal"),
 			"-wal-fsync", "grouped",
-			"-wal-flush-interval", "1ms",
 			"-snapshot-interval", snapInterval.String(),
 			"-gc-interval", "100ms",
 			"-shutdown-grace", "5s",

@@ -50,7 +50,6 @@ func (n *fnode) start(roleArgs ...string) {
 		"-debug-addr", debugAddr,
 		"-wal-dir", n.walDir,
 		"-wal-fsync", "grouped",
-		"-wal-flush-interval", "1ms",
 		"-gc-interval", "100ms",
 		"-trace-buf", "2048",
 		"-shutdown-grace", "5s",

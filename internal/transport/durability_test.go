@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	machine "repro/internal/session"
 	"repro/internal/transport/wire"
 	"repro/internal/wal"
@@ -615,16 +615,22 @@ func TestExpiryAndDeleteAreLogged(t *testing.T) {
 	}
 }
 
-// TestDuplicateAckWaitsForOriginalCommit closes the window between an
-// accept entering the client map (under the session lock) and becoming
-// durable (in its own request's commit, after the lock): a
-// retransmission landing in that gap sees the entry, and must not be
-// acked "duplicate" — which promises the report is safe — before the
-// flush that makes it so. The WAL's group-commit interval is long enough
-// that the test body up to the retransmission runs inside one gap.
+// TestDuplicateAckWaitsForOriginalCommit: a retransmission's original
+// enters the client map under the session lock but becomes durable only
+// in its own request's commit, after the lock, so a request that acks a
+// duplicate must itself commit the log up to the original before it
+// replies. Closing the log after the original's ack makes every later
+// commit fail (the closed log's sticky error): a retransmission, singly
+// or in a batch, must then get a durability error, never a duplicate ack
+// that no commit stands behind.
 func TestDuplicateAckWaitsForOriginalCommit(t *testing.T) {
 	ctx := context.Background()
 	s := NewServer(1)
+	w, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncGrouped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachWAL(w)
 	id, err := s.CreateSession(ctx, wire.SessionConfig{Feature: "gap", Bits: 2, Gamma: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -634,40 +640,17 @@ func TestDuplicateAckWaitsForOriginalCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := wire.Report{ClientID: "c", Bit: task.Bit, Value: 1}
-	// Attached only now, so the setup above did not wait out two flushes.
-	reg := obs.NewRegistry()
-	w, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncGrouped, FlushInterval: 300 * time.Millisecond, Registry: reg})
-	if err != nil {
+	if ack, err := s.SubmitReport(ctx, id, rep); err != nil || !ack.Accepted || ack.Duplicate {
+		t.Fatalf("original: ack %+v err %v, want accepted", ack, err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	s.AttachWAL(w)
-	fsyncs := reg.Counter(wal.MetricFsyncs, "")
-
-	accepted := make(chan error, 1)
-	go func() {
-		ack, err := s.SubmitReport(ctx, id, rep)
-		if err == nil && (!ack.Accepted || ack.Duplicate) {
-			err = fmt.Errorf("original acked %+v", ack)
-		}
-		accepted <- err
-	}()
-	waitFor(t, func() bool {
-		res, err := s.Result(id)
-		return err == nil && res.Reports == 1
-	})
-	if n := fsyncs.Value(); n != 0 {
-		t.Skipf("the flush ran (%d fsyncs) before the retransmission could be sent", n)
+	if ack, err := s.SubmitReport(ctx, id, rep); !errors.Is(err, errDurability) {
+		t.Fatalf("retransmission over a closed log: ack %+v err %v, want a durability error", ack, err)
 	}
-	acks, err := s.SubmitReportBatch(ctx, id, []wire.Report{rep})
-	if err != nil || len(acks) != 1 || acks[0] != wire.AckDuplicate {
-		t.Fatalf("retransmission: acks %v err %v, want one duplicate", acks, err)
-	}
-	if fsyncs.Value() == 0 {
-		t.Error("retransmission acked duplicate while the original was still waiting for its fsync")
-	}
-	if err := <-accepted; err != nil {
-		t.Fatal(err)
+	if acks, err := s.SubmitReportBatch(ctx, id, []wire.Report{rep}); !errors.Is(err, errDurability) {
+		t.Fatalf("batched retransmission over a closed log: acks %v err %v, want a durability error", acks, err)
 	}
 }
 

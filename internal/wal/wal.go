@@ -10,12 +10,13 @@
 // Records are length-prefixed and CRC32C-framed, written to segment files
 // named by the sequence number of their first record. Replay is
 // torn-tail tolerant: a record cut short by a crash at the very end of
-// the newest segment is truncated away, while a corrupted record anywhere
-// records follow it is a hard error — silent skips would resurface as
-// unexplained state divergence. Three fsync policies are supported:
-// SyncAlways (fsync before every commit returns), SyncGrouped (commits
-// batch behind a max-delay flush ticker — group commit), and SyncNever
-// (benchmarks only; a crash may lose the page-cache tail).
+// the newest segment is truncated away, while a defective record with a
+// CRC-valid one anywhere behind it is a hard error — silent skips would
+// resurface as unexplained state divergence. Two fsync policies are
+// supported: SyncAlways (fsync before every commit returns, with group
+// commit: one fsync covers every append made before it started, and a
+// commit that arrives while one is in flight fsyncs as soon as it ends)
+// and SyncNever (benchmarks only; a crash may lose the page-cache tail).
 //
 // Beside the segments lies the log's checkpoint (WriteCheckpoint), so the
 // directory alone is the recovery input: checkpoint plus later segments.
@@ -67,26 +68,23 @@ var (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs before every Commit returns. Slowest, zero loss
-	// window even under power failure.
+	// SyncAlways fsyncs before every Commit returns: zero loss window
+	// even under power failure. Concurrent commits share fsyncs (syncTo).
 	SyncAlways SyncPolicy = iota
-	// SyncGrouped batches commits behind a background flush ticker:
-	// Commit blocks until a flush covering its record completes, at most
-	// FlushInterval plus one fsync later. Amortizes fsyncs under load.
-	SyncGrouped
 	// SyncNever performs no fsyncs on the append path (segment seals and
 	// Close still sync). For benchmarks; a crash can lose the tail that
 	// was still in the page cache.
 	SyncNever
+	// SyncGrouped is a synonym of SyncAlways, whose commits already share
+	// fsyncs.
+	SyncGrouped = SyncAlways
 )
 
 // ParseSyncPolicy maps the -wal-fsync flag spellings to a policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(s) {
-	case "always", "record", "per-record":
+	case "always", "record", "per-record", "grouped", "group", "batch":
 		return SyncAlways, nil
-	case "grouped", "group", "batch":
-		return SyncGrouped, nil
 	case "never", "off", "none":
 		return SyncNever, nil
 	}
@@ -98,8 +96,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncGrouped:
-		return "grouped"
 	case SyncNever:
 		return "never"
 	}
@@ -115,9 +111,6 @@ type Options struct {
 	SegmentBytes int64
 	// Policy is the fsync policy; the zero value is SyncAlways.
 	Policy SyncPolicy
-	// FlushInterval is the SyncGrouped max delay between fsyncs. Zero
-	// means 2ms.
-	FlushInterval time.Duration
 	// Registry, when non-nil, receives the fednum_wal_* metrics.
 	Registry *obs.Registry
 }
@@ -127,13 +120,6 @@ func (o Options) segmentBytes() int64 {
 		return 16 << 20
 	}
 	return o.SegmentBytes
-}
-
-func (o Options) flushInterval() time.Duration {
-	if o.FlushInterval <= 0 {
-		return 2 * time.Millisecond
-	}
-	return o.FlushInterval
 }
 
 // segment is one sealed (no longer written) segment file.
@@ -184,11 +170,11 @@ type WAL struct {
 	flushCond *sync.Cond
 	syncedSeq uint64
 	syncErr   error
-	flushing  bool // a leader is running fsync (SyncAlways coalescing)
-
-	flushStop chan struct{}
-	flushDone chan struct{}
+	flushing  bool // a commit leader is running fsync
 }
+
+// fsyncFile is the fsync every commit runs; tests stall it.
+var fsyncFile = (*os.File).Sync
 
 // Open scans dir, truncates a torn tail off the newest segment, deletes a
 // checkpoint temp file a crash in the middle of WriteCheckpoint left, and
@@ -257,12 +243,6 @@ func Open(opts Options) (*WAL, error) {
 	w.syncedSeq = w.nextSeq - 1
 	w.flushMu.Unlock()
 	w.m.segments.Set(float64(len(w.sealed) + 1))
-
-	if opts.Policy == SyncGrouped {
-		w.flushStop = make(chan struct{})
-		w.flushDone = make(chan struct{})
-		go w.flushLoop()
-	}
 	return w, nil
 }
 
@@ -446,9 +426,11 @@ type scanResult struct {
 
 // scanSegment walks a segment's records, calling fn (when non-nil) with
 // each payload. With sealed set, any framing or checksum defect is
-// ErrCorrupt; otherwise a defect at the very tail — the only place a
-// crashed append can tear — is reported as torn bytes, while a defect
-// with intact data behind it is still ErrCorrupt.
+// ErrCorrupt. Otherwise a defect is a torn tail — what a crashed append
+// leaves — only if no CRC-valid frame starts anywhere after it; one that
+// does means intact records lie behind the defect, and that is
+// ErrCorrupt, never truncated away. A zero-filled tail reads as torn in
+// one pass: a zero length field bounds no frame.
 func scanSegment(path string, sealed bool, fn func(payload []byte) error) (scanResult, error) {
 	var res scanResult
 	data, err := os.ReadFile(path)
@@ -456,41 +438,23 @@ func scanSegment(path string, sealed bool, fn func(payload []byte) error) (scanR
 		return res, err
 	}
 	size := int64(len(data))
-	off := int64(0)
-	for off < size {
-		torn := func() (scanResult, error) {
+	for off := int64(0); off < size; {
+		end, ok := frameAt(data, off)
+		if !ok {
 			if sealed {
 				return res, fmt.Errorf("%w: %s: defective record at offset %d inside a sealed segment", ErrCorrupt, path, off)
+			}
+			for next := off + 1; next < size; next++ {
+				if _, ok := frameAt(data, next); ok {
+					return res, fmt.Errorf("%w: %s: defective record at offset %d with an intact record at offset %d behind it",
+						ErrCorrupt, path, off, next)
+				}
 			}
 			res.tornBytes = size - off
 			return res, nil
 		}
-		if size-off < headerBytes {
-			return torn()
-		}
-		n := int64(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		end := off + headerBytes + n
-		if n == 0 || n > MaxRecordBytes || end > size {
-			// The frame runs off the end of the file (or its length field
-			// is garbage, which makes the frame unboundable): if nothing
-			// verifiable follows this is a torn tail; a defect we can
-			// bound with data behind it is corruption.
-			if end < size && n != 0 && n <= MaxRecordBytes {
-				return res, fmt.Errorf("%w: %s: bad frame at offset %d", ErrCorrupt, path, off)
-			}
-			return torn()
-		}
-		payload := data[off+headerBytes : end]
-		if crc32.Checksum(payload, crcTable) != crc {
-			if end < size {
-				return res, fmt.Errorf("%w: %s: checksum mismatch at offset %d with %d bytes following",
-					ErrCorrupt, path, off, size-end)
-			}
-			return torn()
-		}
 		if fn != nil {
-			if err := fn(payload); err != nil {
+			if err := fn(data[off+headerBytes : end]); err != nil {
 				return res, err
 			}
 		}
@@ -499,6 +463,21 @@ func scanSegment(path string, sealed bool, fn func(payload []byte) error) (scanR
 		off = end
 	}
 	return res, nil
+}
+
+// frameAt reports whether a whole, CRC-valid frame starts at off in data,
+// and where it ends. A zero length bounds no frame: crc32c of nothing is
+// 0, so zeroes would otherwise verify.
+func frameAt(data []byte, off int64) (end int64, ok bool) {
+	if int64(len(data))-off < headerBytes {
+		return 0, false
+	}
+	n := int64(binary.LittleEndian.Uint32(data[off:]))
+	end = off + headerBytes + n
+	if n == 0 || n > MaxRecordBytes || end > int64(len(data)) {
+		return 0, false
+	}
+	return end, crc32.Checksum(data[off+headerBytes:end], crcTable) == binary.LittleEndian.Uint32(data[off+4:])
 }
 
 // syncDir fsyncs a directory so entry creations/removals survive power
@@ -514,7 +493,7 @@ func syncDir(dir string) error {
 
 // Append frames payload and writes it to the active segment, returning
 // the record's sequence number. The record is NOT durable until a Commit
-// covering the sequence returns (SyncAlways/SyncGrouped) — callers must
+// covering the sequence returns (under SyncAlways) — callers must
 // not ack external effects before then.
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	return w.append1(payload, 0)
@@ -606,18 +585,16 @@ func (w *WAL) append1(payload []byte, want uint64) (uint64, error) {
 // configured policy (a no-op for SyncNever). An error means durability
 // could not be established and the caller must not ack.
 func (w *WAL) Commit(seq uint64) error {
-	switch w.opts.Policy {
-	case SyncNever:
+	if w.opts.Policy == SyncNever {
 		return nil
-	case SyncGrouped:
-		return w.waitFlushed(seq)
-	default:
-		return w.syncTo(seq)
 	}
+	return w.syncTo(seq)
 }
 
-// syncTo is the SyncAlways path: the first waiter becomes the flush
-// leader and fsyncs on behalf of everyone who appended before it.
+// syncTo is group commit: the first waiter becomes the flush leader and
+// fsyncs on behalf of everyone who appended before it. A commit arriving
+// while that fsync runs waits for it, and the first such commit then
+// leads the next fsync at once, covering every append made meanwhile.
 func (w *WAL) syncTo(seq uint64) error {
 	w.flushMu.Lock()
 	for {
@@ -652,17 +629,6 @@ func (w *WAL) syncTo(seq uint64) error {
 	return err
 }
 
-// waitFlushed is the SyncGrouped path: block until the flush loop's
-// frontier passes seq.
-func (w *WAL) waitFlushed(seq uint64) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	for w.syncedSeq < seq && w.syncErr == nil {
-		w.flushCond.Wait()
-	}
-	return w.syncErr
-}
-
 // fsyncActive syncs the active segment and returns the highest sequence
 // the sync covers. Racing a rotation is benign: rotation itself fsyncs
 // the sealed file before reopening, so if the file we held was swapped
@@ -678,7 +644,7 @@ func (w *WAL) fsyncActive() (uint64, error) {
 	w.mu.Unlock()
 
 	start := time.Now()
-	err := f.Sync()
+	err := fsyncFile(f)
 	w.m.flushSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		w.mu.Lock()
@@ -696,52 +662,6 @@ func (w *WAL) fsyncActive() (uint64, error) {
 	}
 	w.m.fsyncs.Inc()
 	return covered, nil
-}
-
-// flushLoop is the SyncGrouped ticker: at most FlushInterval between the
-// first post-flush append and the fsync that makes it durable.
-func (w *WAL) flushLoop() {
-	defer close(w.flushDone)
-	t := time.NewTicker(w.opts.flushInterval())
-	defer t.Stop()
-	for {
-		select {
-		case <-w.flushStop:
-			w.flushOnce()
-			return
-		case <-t.C:
-			w.flushOnce()
-		}
-	}
-}
-
-// flushOnce fsyncs if any record is waiting and advances the frontier.
-func (w *WAL) flushOnce() {
-	w.mu.Lock()
-	dirty := !w.closed && w.nextSeq-1 > w.syncedFrontier()
-	w.mu.Unlock()
-	if !dirty {
-		return
-	}
-	covered, err := w.fsyncActive()
-	w.flushMu.Lock()
-	if err != nil {
-		if w.syncErr == nil {
-			w.syncErr = err
-		}
-	} else if covered > w.syncedSeq {
-		w.syncedSeq = covered
-	}
-	w.flushCond.Broadcast()
-	w.flushMu.Unlock()
-}
-
-// syncedFrontier reads the durability frontier; used only as a dirtiness
-// hint, so the brief flushMu acquisition is fine.
-func (w *WAL) syncedFrontier() uint64 {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	return w.syncedSeq
 }
 
 // rotateLocked seals the active segment (fsync + close) and starts the
@@ -843,10 +763,6 @@ func (w *WAL) LastSeq() uint64 {
 
 // Close flushes and closes the log. Further appends return ErrClosed.
 func (w *WAL) Close() error {
-	if w.flushStop != nil {
-		close(w.flushStop)
-		<-w.flushDone
-	}
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()

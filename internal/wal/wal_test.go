@@ -1,13 +1,17 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,30 +165,51 @@ func TestTornFinalRecordIsTruncated(t *testing.T) {
 	}
 }
 
+// TestBadCRCInteriorRecordFailsLoudly: a defect in the active segment
+// with an intact record behind it, a flipped payload byte or a length
+// field that bounds no frame, is corruption, never a torn tail. Open
+// refuses the log and truncates nothing.
 func TestBadCRCInteriorRecordFailsLoudly(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(Options{Dir: dir, Policy: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		name   string
+		damage func(data []byte)
+	}{
+		{"first_payload_byte", func(data []byte) { data[headerBytes] ^= 0xff }},
+		{"zero_length", func(data []byte) { setSecondLength(data, 0) }},
+		{"max_length", func(data []byte) { setSecondLength(data, 0xFFFFFFFF) }},
+		{"past_end", func(data []byte) { setSecondLength(data, uint32(len(data))) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(Options{Dir: dir, Policy: SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, w, 0, 3)
+			w.Close()
+			path := segmentPath(dir, 1)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.damage(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(Options{Dir: dir, Policy: SyncAlways}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("open over interior corruption = %v, want ErrCorrupt", err)
+			}
+			if st, err := os.Stat(path); err != nil || st.Size() != int64(len(data)) {
+				t.Fatalf("segment after the refused open: %v, %v; want %d bytes untouched", st, err, len(data))
+			}
+		})
 	}
-	appendN(t, w, 0, 3)
-	w.Close()
+}
 
-	// Flip a payload byte of the FIRST record: complete frame, records
-	// behind it — corruption, never a torn tail.
-	path := segmentPath(dir, 1)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[headerBytes] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := Open(Options{Dir: dir, Policy: SyncAlways}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("open over interior corruption = %v, want ErrCorrupt", err)
-	}
+// setSecondLength overwrites the length field of the second of
+// appendN's records.
+func setSecondLength(data []byte, n uint32) {
+	binary.LittleEndian.PutUint32(data[headerBytes+len("rec-0"):], n)
 }
 
 func TestBadCRCInSealedSegmentFailsOnReplay(t *testing.T) {
@@ -291,35 +316,38 @@ func TestTruncateThroughReclaimsSealedSegments(t *testing.T) {
 	}
 }
 
+// TestGroupedCommitIsDurableAndBatched: one fsync covers every record
+// appended before it started. Commit of the last of n appends makes
+// exactly one fsync, committing each earlier sequence then makes none,
+// and every record survives a reopen.
 func TestGroupedCommitIsDurableAndBatched(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	w, err := Open(Options{
-		Dir: dir, Policy: SyncGrouped, FlushInterval: time.Millisecond, Registry: reg,
-	})
+	w, err := Open(Options{Dir: dir, Policy: SyncGrouped, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fsyncs := reg.Counter(MetricFsyncs, "")
 	const n = 50
-	var wg sync.WaitGroup
+	var last uint64
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			seq, err := w.Append([]byte(fmt.Sprintf("g-%d", i)))
-			if err != nil {
-				t.Errorf("append: %v", err)
-				return
-			}
-			if err := w.Commit(seq); err != nil {
-				t.Errorf("commit: %v", err)
-			}
-		}(i)
+		if last, err = w.Append([]byte(fmt.Sprintf("g-%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	fsyncs := reg.Counter(MetricFsyncs, "").Value()
-	if fsyncs == 0 {
-		t.Fatal("grouped policy never fsynced")
+	if err := w.Commit(last); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncs.Value(); got != 1 {
+		t.Fatalf("Commit(%d) after %d appends made %d fsyncs, want 1", last, n, got)
+	}
+	for seq := uint64(1); seq < last; seq++ {
+		if err := w.Commit(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fsyncs.Value(); got != 1 {
+		t.Fatalf("committing the covered sequences made %d more fsyncs, want 0", got-1)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -331,6 +359,65 @@ func TestGroupedCommitIsDurableAndBatched(t *testing.T) {
 	defer w2.Close()
 	if seqs, _ := collect(t, w2); len(seqs) != n {
 		t.Fatalf("recovered %d records, want %d", len(seqs), n)
+	}
+}
+
+// TestCommitsBehindAnInFlightFsyncShareTheNext: commits that arrive while
+// an fsync runs wait for it, none returning before an fsync covering its
+// record has ended, and then one fsync covers them all.
+func TestCommitsBehindAnInFlightFsyncShareTheNext(t *testing.T) {
+	var stall atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	fsyncFile = func(f *os.File) error {
+		if stall.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+		return f.Sync()
+	}
+	t.Cleanup(func() { fsyncFile = (*os.File).Sync })
+	reg := obs.NewRegistry()
+	w, err := Open(Options{Dir: t.TempDir(), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fsyncs := reg.Counter(MetricFsyncs, "")
+
+	stall.Store(true)
+	first, err := w.Append([]byte("leader"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1+8)
+	go func() { done <- w.Commit(first) }()
+	<-entered
+	const k = 8
+	for i := 0; i < k; i++ {
+		go func(i int) {
+			seq, err := w.Append([]byte(fmt.Sprintf("behind-%d", i)))
+			if err == nil {
+				err = w.Commit(seq)
+			}
+			done <- err
+		}(i)
+	}
+	for w.LastSeq() != first+k {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("a commit returned (err %v) while the only fsync was stalled", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	for i := 0; i < 1+k; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fsyncs.Value(); got != 2 {
+		t.Fatalf("fsyncs = %d, want 2: the stalled one and one for the %d commits behind it", got, k)
 	}
 }
 
@@ -605,4 +692,85 @@ func TestCheckpointKeepsWhatAReaderNeeds(t *testing.T) {
 	if first := w.FirstSeq(); first != 0 {
 		t.Fatalf("log starts at %d once the reader holds everything the checkpoint covers", first)
 	}
+}
+
+// FuzzSegment: scanSegment, the reader every boot runs on the active
+// segment, never panics. The payloads it accepts, framed again, are the
+// file's good prefix byte for byte. A defect it calls a torn tail has no
+// CRC-valid frame starting after it, and one it calls ErrCorrupt has one.
+// Read as sealed, the same bytes pass only if they hold no defect at all.
+func FuzzSegment(f *testing.F) {
+	var valid []byte
+	for _, p := range []string{"rec-0", "rec-1", "rec-2"} {
+		valid = appendFrame(valid, []byte(p))
+	}
+	f.Add([]byte{})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add(append(slices.Clone(valid), make([]byte, 64)...))
+	for _, n := range []uint32{0, 0xFFFFFFFF, uint32(len(valid))} {
+		bad := slices.Clone(valid)
+		setSecondLength(bad, n)
+		f.Add(bad)
+	}
+	path := filepath.Join(f.TempDir(), "segment")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var reframed []byte
+		var accepted uint64
+		res, err := scanSegment(path, false, func(p []byte) error {
+			reframed = appendFrame(reframed, p)
+			accepted++
+			return nil
+		})
+		if res.goodBytes > int64(len(data)) || !bytes.Equal(reframed, data[:res.goodBytes]) {
+			t.Fatalf("accepted payloads frame to %x, the good prefix of %d bytes is %x",
+				reframed, res.goodBytes, data[:min(res.goodBytes, int64(len(data)))])
+		}
+		if accepted != res.records {
+			t.Fatalf("%d records counted, %d accepted", res.records, accepted)
+		}
+		next := validFrameAfter(data, res.goodBytes)
+		switch {
+		case err == nil && res.goodBytes+res.tornBytes != int64(len(data)):
+			t.Fatalf("%d good and %d torn bytes of %d", res.goodBytes, res.tornBytes, len(data))
+		case err == nil && res.tornBytes > 0 && next >= 0:
+			t.Fatalf("defect at %d read as a torn tail, with a valid frame at %d behind it", res.goodBytes, next)
+		case errors.Is(err, ErrCorrupt) && next < 0:
+			t.Fatalf("defect at %d read as corrupt (%v), with no valid frame behind it", res.goodBytes, err)
+		case err != nil && !errors.Is(err, ErrCorrupt):
+			t.Fatal(err)
+		}
+		sealed, serr := scanSegment(path, true, nil)
+		if err == nil && res.tornBytes == 0 {
+			if serr != nil || sealed != res {
+				t.Fatalf("intact segment read sealed: %+v, %v; unsealed %+v", sealed, serr, res)
+			}
+		} else if !errors.Is(serr, ErrCorrupt) || sealed.tornBytes != 0 {
+			t.Fatalf("defective sealed segment: %+v, %v; want ErrCorrupt", sealed, serr)
+		}
+	})
+}
+
+// appendFrame frames payload as Append does.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
+	return append(dst, payload...)
+}
+
+// validFrameAfter returns the first offset past off at which a whole,
+// CRC-valid frame starts, or -1.
+func validFrameAfter(data []byte, off int64) int64 {
+	for p := off + 1; p+headerBytes < int64(len(data)); p++ {
+		n := int64(binary.LittleEndian.Uint32(data[p:]))
+		body := data[p+headerBytes:]
+		if n > 0 && n <= MaxRecordBytes && n <= int64(len(body)) &&
+			crc32.Checksum(body[:n], crcTable) == binary.LittleEndian.Uint32(data[p+4:]) {
+			return p
+		}
+	}
+	return -1
 }

@@ -10,7 +10,8 @@
 # The quick gate: gofmt, tier-1 (`go build ./... && go test ./...`),
 # `go vet` with the standard analyzers and again with the repo's own
 # fedlint analyzers, the bench/ module's self-tests and 10 s fuzzes of
-# the binary frame reader, the record codec and the checkpoint reader.
+# the binary frame reader, the record codec, the checkpoint reader and
+# the WAL segment reader.
 #
 # --long adds every test twice under the race detector, one iteration
 # of every benchmark function, and the results step: every figure is
@@ -56,14 +57,19 @@ go vet -vettool="$tmp/fedlint" ./...
 step "bench/ module self-tests"
 go test -C bench ./...
 
-step "FuzzBatchReader, 10 s"
-go test -run '^$' -fuzz FuzzBatchReader -fuzztime 10s ./internal/transport/wire/
-
-step "FuzzRecord, 10 s"
-go test -run '^$' -fuzz FuzzRecord -fuzztime 10s ./internal/session/
-
-step "FuzzCheckpoint, 10 s"
-go test -run '^$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/transport/
+# fuzz TARGET PKG fuzzes one target for 10 s and prints its final exec
+# count, so a stalled step shows in the log. Minimizing a new input is
+# bounded at 1 s: at Go's default of 60 s, one minimization can take the
+# rest of the step's budget.
+fuzz() {
+	step "$1, 10 s"
+	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 1s "$2" 2>&1 | tee "$tmp/fuzz.log"
+	echo "$1: final $(grep -o 'execs: [0-9]*' "$tmp/fuzz.log" | tail -1)"
+}
+fuzz FuzzBatchReader ./internal/transport/wire/
+fuzz FuzzRecord ./internal/session/
+fuzz FuzzCheckpoint ./internal/transport/
+fuzz FuzzSegment ./internal/wal/
 
 if [ "$long" = 1 ]; then
 	step "race detector, every test twice"
